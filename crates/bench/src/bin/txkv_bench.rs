@@ -46,7 +46,8 @@
 //!   the kv modes: a solo protected-tenant baseline, then the same load
 //!   with a noisy neighbor flooding open-loop far past its per-tenant
 //!   quota. Emits per-tenant schema-v6 rows; `--assert-service` gates
-//!   answered-or-shed at the wire, zero starved executors, typed
+//!   answered-or-shed at the wire, zero starved executors, zero reply
+//!   bursts rescued by the reactor's poll timeout (`wake_rescues`), typed
 //!   per-tenant throttling of the noisy tenant, and the protected
 //!   tenant's contended p99 within 1.5× of its solo baseline (with a
 //!   2 ms absolute floor below which the ratio measures scheduler
@@ -1348,6 +1349,12 @@ fn check_net(transport: &str, solo: &NetPhaseOut, contended: &NetPhaseOut) -> Re
                 out.net.replies_to_dead
             ));
         }
+        if out.net.wake_rescues != 0 {
+            return Err(format!(
+                "{phase}: {} reply bursts waited for the reactor's poll timeout (lost wake-up)",
+                out.net.wake_rescues
+            ));
+        }
         let prot = net_tenant(&out.net, NET_PROT);
         if prot.refused() != 0 {
             return Err(format!("{phase}: protected tenant refused {} times", prot.refused()));
@@ -1395,8 +1402,8 @@ fn fail_net(
             body,
             ", \"{phase}\": {{\"requests\": {}, \"accepted\": {}, \"answered\": {}, \
              \"refused_quota\": {}, \"refused_pressure\": {}, \"refused_backend\": {}, \
-             \"replies_to_dead\": {}, \"proto_errors\": {}, \"starved_executors\": {}, \
-             \"noisy_submitted\": {}}}",
+             \"replies_to_dead\": {}, \"wake_rescues\": {}, \"proto_errors\": {}, \
+             \"starved_executors\": {}, \"noisy_submitted\": {}}}",
             o.net.requests,
             o.net.accepted,
             o.net.answered(),
@@ -1404,6 +1411,7 @@ fn fail_net(
             o.net.refused_pressure,
             o.net.refused_backend,
             o.net.replies_to_dead,
+            o.net.wake_rescues,
             o.net.proto_errors,
             o.report.starved_executors,
             o.noisy_submitted,

@@ -21,6 +21,7 @@ use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::Thread;
 use std::time::Duration;
 
 use txkv::{KvOp, KvReply};
@@ -104,27 +105,53 @@ impl Sock {
     }
 }
 
+/// Write-once outcome cell with one consumer ([`NetPending`]). A fill
+/// wakes the waiter only if it is actually parked.
 struct Slot {
-    cell: Mutex<Option<Result<KvReply, NetError>>>,
-    cv: Condvar,
+    state: Mutex<SlotState>,
+}
+
+enum SlotState {
+    Empty,
+    /// `wait` registered this thread and parks until `Filled`.
+    Waiting(Thread),
+    Filled(Result<KvReply, NetError>),
 }
 
 impl Slot {
+    /// First write wins (a poisoned connection fills every slot `Closed`).
     fn fill(&self, r: Result<KvReply, NetError>) {
-        let mut g = self.cell.lock().unwrap();
-        if g.is_none() {
-            *g = Some(r);
-            self.cv.notify_all();
+        let mut g = self.state.lock().unwrap();
+        match std::mem::replace(&mut *g, SlotState::Empty) {
+            SlotState::Empty => *g = SlotState::Filled(r),
+            SlotState::Waiting(waiter) => {
+                *g = SlotState::Filled(r);
+                drop(g);
+                waiter.unpark();
+            }
+            filled => *g = filled,
         }
     }
 
     fn wait(&self) -> Result<KvReply, NetError> {
-        let mut g = self.cell.lock().unwrap();
         loop {
-            if let Some(r) = g.as_ref() {
-                return r.clone();
+            {
+                let mut g = self.state.lock().unwrap();
+                match &*g {
+                    SlotState::Filled(r) => return r.clone(),
+                    SlotState::Empty => *g = SlotState::Waiting(std::thread::current()),
+                    // Still `Waiting`: `park` returned spuriously.
+                    SlotState::Waiting(_) => {}
+                }
             }
-            g = self.cv.wait(g).unwrap();
+            std::thread::park();
+        }
+    }
+
+    fn try_get(&self) -> Option<Result<KvReply, NetError>> {
+        match &*self.state.lock().unwrap() {
+            SlotState::Filled(r) => Some(r.clone()),
+            _ => None,
         }
     }
 }
@@ -132,6 +159,8 @@ impl Slot {
 struct WState {
     inflight: usize,
     dead: Option<NetError>,
+    /// Submitters parked on [`SharedCl::cv`] for a window slot.
+    waiting: usize,
 }
 
 /// State shared between the API half and the reader thread.
@@ -171,14 +200,15 @@ impl NetPending {
     }
 
     pub fn try_get(&self) -> Option<Result<KvReply, NetError>> {
-        self.slot.cell.lock().unwrap().clone()
+        self.slot.try_get()
     }
 }
 
 /// A multiplexed connection to a [`crate::NetServer`].
 pub struct NetClient {
     shared: Arc<SharedCl>,
-    write: Mutex<Sock>,
+    /// The write half and the buffer each request frame is encoded into.
+    write: Mutex<(Sock, Vec<u8>)>,
     next_corr: AtomicU64,
     window: usize,
     reader: Option<std::thread::JoinHandle<()>>,
@@ -210,10 +240,10 @@ impl NetClient {
         // Hello/HelloOk runs synchronously with a bounded wait so a
         // wedged server is a typed timeout, not a hang.
         sock.set_read_timeout(Some(Duration::from_secs(10)))?;
-        let mut hello = Vec::new();
-        frame::encode_hello(tenant, token, &mut hello);
         let mut wire = Vec::new();
-        frame::encode_frame(Kind::Hello, 0, &hello, &mut wire);
+        frame::encode_frame_with(Kind::Hello, 0, &mut wire, |out| {
+            frame::encode_hello(tenant, token, out)
+        });
         sock.write_all(&wire)?;
         let mut buf = Vec::new();
         let window = loop {
@@ -221,12 +251,12 @@ impl NetClient {
                 Err(_) => return Err(NetError::Proto(ProtoCode::BadPayload)),
                 Ok(Some((f, _))) => match Kind::from_u8(f.kind) {
                     Some(Kind::HelloOk) => {
-                        break frame::decode_hello_ok(&f.payload)
+                        break frame::decode_hello_ok(f.payload)
                             .map_err(|_| NetError::Proto(ProtoCode::BadPayload))?
                             as usize;
                     }
                     Some(Kind::ProtoError) => {
-                        let code = frame::decode_proto_error(&f.payload)
+                        let code = frame::decode_proto_error(f.payload)
                             .map_err(|_| NetError::Proto(ProtoCode::BadPayload))?;
                         return Err(match code {
                             ProtoCode::AuthFailed => NetError::AuthFailed,
@@ -248,7 +278,7 @@ impl NetClient {
         sock.set_read_timeout(None)?;
         let shared = Arc::new(SharedCl {
             pending: Mutex::new(HashMap::new()),
-            state: Mutex::new(WState { inflight: 0, dead: None }),
+            state: Mutex::new(WState { inflight: 0, dead: None, waiting: 0 }),
             cv: Condvar::new(),
         });
         let read_half = sock.try_clone()?;
@@ -261,7 +291,7 @@ impl NetClient {
         };
         Ok(NetClient {
             shared,
-            write: Mutex::new(sock),
+            write: Mutex::new((sock, wire)),
             next_corr: AtomicU64::new(1),
             window: window.max(1),
             reader: Some(reader),
@@ -286,17 +316,21 @@ impl NetClient {
                     st.inflight += 1;
                     break;
                 }
+                st.waiting += 1;
                 st = self.shared.cv.wait(st).unwrap();
+                st.waiting -= 1;
             }
         }
         let corr = self.next_corr.fetch_add(1, Ordering::Relaxed);
-        let slot = Arc::new(Slot { cell: Mutex::new(None), cv: Condvar::new() });
+        let slot = Arc::new(Slot { state: Mutex::new(SlotState::Empty) });
         self.shared.pending.lock().unwrap().insert(corr, slot.clone());
-        let mut payload = Vec::new();
-        frame::encode_op(op, &mut payload);
-        let mut wire = Vec::new();
-        frame::encode_frame(Kind::Request, corr, &payload, &mut wire);
-        let write_res = self.write.lock().unwrap().write_all(&wire);
+        let write_res = {
+            let mut w = self.write.lock().unwrap();
+            let (sock, wire) = &mut *w;
+            wire.clear();
+            frame::encode_frame_with(Kind::Request, corr, wire, |out| frame::encode_op(op, out));
+            sock.write_all(wire)
+        };
         if let Err(e) = write_res {
             self.shared.pending.lock().unwrap().remove(&corr);
             release_window(&self.shared);
@@ -314,7 +348,7 @@ impl NetClient {
 
 impl Drop for NetClient {
     fn drop(&mut self) {
-        self.write.lock().unwrap().shutdown();
+        self.write.lock().unwrap().0.shutdown();
         if let Some(r) = self.reader.take() {
             let _ = r.join();
         }
@@ -324,29 +358,35 @@ impl Drop for NetClient {
 fn release_window(shared: &Arc<SharedCl>) {
     let mut st = shared.state.lock().unwrap();
     st.inflight = st.inflight.saturating_sub(1);
-    shared.cv.notify_all();
+    // Submitters count themselves in under this mutex before they wait.
+    if st.waiting > 0 {
+        shared.cv.notify_all();
+    }
 }
 
 fn reader_loop(mut sock: Sock, shared: &Arc<SharedCl>) {
-    let mut buf: Vec<u8> = Vec::new();
+    // One buffer for the connection's lifetime; `buf[start..end]` is the
+    // unparsed tail of the reply stream.
+    let mut buf = vec![0u8; 64 * 1024];
+    let (mut start, mut end) = (0, 0);
     loop {
         // Drain complete frames first, then block for more bytes.
         loop {
-            match frame::decode_frame(&buf) {
+            match frame::decode_frame(&buf[start..end]) {
                 Ok(None) => break,
                 Ok(Some((f, used))) => {
-                    buf.drain(..used);
+                    start += used;
                     let outcome: Result<KvReply, NetError> = match Kind::from_u8(f.kind) {
-                        Some(Kind::Reply) => match frame::decode_reply(&f.payload) {
+                        Some(Kind::Reply) => match frame::decode_reply(f.payload) {
                             Ok(r) => Ok(r),
                             Err(_) => Err(NetError::Proto(ProtoCode::BadPayload)),
                         },
-                        Some(Kind::Refused) => match frame::decode_refusal(&f.payload) {
+                        Some(Kind::Refused) => match frame::decode_refusal(f.payload) {
                             Ok(r) => Err(NetError::Refused(r)),
                             Err(_) => Err(NetError::Proto(ProtoCode::BadPayload)),
                         },
                         Some(Kind::ProtoError) => {
-                            let code = frame::decode_proto_error(&f.payload)
+                            let code = frame::decode_proto_error(f.payload)
                                 .unwrap_or(ProtoCode::BadPayload);
                             if code.poisons_stream() || f.corr == 0 {
                                 shared.poison(NetError::Proto(code));
@@ -375,13 +415,23 @@ fn reader_loop(mut sock: Sock, shared: &Arc<SharedCl>) {
                 }
             }
         }
-        let mut chunk = [0u8; 64 * 1024];
-        match sock.read(&mut chunk) {
+        if start == end {
+            (start, end) = (0, 0);
+        } else if end == buf.len() {
+            // A partial frame touches the end: slide it to the front, or
+            // grow when it fills the buffer by itself.
+            if start == 0 {
+                buf.resize(2 * buf.len(), 0);
+            }
+            buf.copy_within(start..end, 0);
+            (start, end) = (0, end - start);
+        }
+        match sock.read(&mut buf[end..]) {
             Ok(0) => {
                 shared.poison(NetError::Closed);
                 return;
             }
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Ok(n) => end += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => {
                 shared.poison(NetError::Io(e.to_string()));

@@ -129,12 +129,12 @@ impl ProtoCode {
     }
 }
 
-/// One decoded frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Frame {
+/// One decoded frame; the payload borrows the buffer it was decoded from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Frame<'a> {
     pub kind: u8,
     pub corr: u64,
-    pub payload: Vec<u8>,
+    pub payload: &'a [u8],
 }
 
 /// Framing-level decode failure (vs. payload-level [`PayloadError`]).
@@ -195,20 +195,35 @@ pub fn crc32(chunks: &[&[u8]]) -> u32 {
 
 // ------------------------------------------------------------- framing
 
-/// Append one encoded frame to `out`.
+/// Append one frame to `out`, its payload written in place by `payload`
+/// (an `encode_*` call appending to the same vector): the header goes
+/// first with length and CRC left open, and both are patched once the
+/// payload is there — no intermediate payload buffer.
+pub fn encode_frame_with(
+    kind: Kind,
+    corr: u64,
+    out: &mut Vec<u8>,
+    payload: impl FnOnce(&mut Vec<u8>),
+) {
+    let at = out.len();
+    let mut head = [0u8; HEADER_LEN]; // flags, len and crc start as 0
+    head[0..4].copy_from_slice(&MAGIC.to_le_bytes());
+    head[4] = VERSION;
+    head[5] = kind as u8;
+    head[8..16].copy_from_slice(&corr.to_le_bytes());
+    out.extend_from_slice(&head);
+    payload(out);
+    let (head, body) = out[at..].split_at_mut(HEADER_LEN);
+    debug_assert!(body.len() <= MAX_PAYLOAD as usize);
+    head[16..20].copy_from_slice(&(body.len() as u32).to_le_bytes());
+    let crc = crc32(&[&head[4..20], body]);
+    head[20..24].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Append one encoded frame carrying `payload` to `out`.
 pub fn encode_frame(kind: Kind, corr: u64, payload: &[u8], out: &mut Vec<u8>) {
-    debug_assert!(payload.len() <= MAX_PAYLOAD as usize);
-    let mut mid = [0u8; 16]; // bytes [4, 20): ver, kind, flags, corr, len
-    mid[0] = VERSION;
-    mid[1] = kind as u8;
-    // mid[2..4] flags = 0
-    mid[4..12].copy_from_slice(&corr.to_le_bytes());
-    mid[12..16].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    let crc = crc32(&[&mid, payload]);
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.extend_from_slice(&mid);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out.extend_from_slice(payload);
+    out.reserve(HEADER_LEN + payload.len());
+    encode_frame_with(kind, corr, out, |out| out.extend_from_slice(payload));
 }
 
 /// Try to decode one frame from the front of `buf`.
@@ -216,7 +231,7 @@ pub fn encode_frame(kind: Kind, corr: u64, payload: &[u8], out: &mut Vec<u8>) {
 /// `Ok(Some((frame, consumed)))` — a whole valid frame; drop `consumed`
 /// bytes. `Ok(None)` — incomplete, read more. `Err(_)` — the stream is
 /// poisoned at its current position; the caller answers and closes.
-pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, FrameError> {
+pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame<'_>, usize)>, FrameError> {
     if buf.len() < 4 {
         return Ok(None);
     }
@@ -245,7 +260,7 @@ pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, FrameError> {
     }
     let corr =
         u64::from_le_bytes([buf[8], buf[9], buf[10], buf[11], buf[12], buf[13], buf[14], buf[15]]);
-    Ok(Some((Frame { kind: buf[5], corr, payload: payload.to_vec() }, total)))
+    Ok(Some((Frame { kind: buf[5], corr, payload }, total)))
 }
 
 // ------------------------------------------------------- payload: reader
@@ -824,7 +839,31 @@ mod tests {
         assert_eq!(used, wire.len());
         assert_eq!(frame.corr, 77);
         assert_eq!(frame.kind, Kind::Request as u8);
-        assert_eq!(decode_op(&frame.payload).unwrap(), KvOp::Get { key: 1 });
+        assert_eq!(decode_op(frame.payload).unwrap(), KvOp::Get { key: 1 });
+    }
+
+    #[test]
+    fn in_place_encoding_is_the_documented_layout_at_any_offset() {
+        let reply = KvReply::Values(vec![Some(3), None]);
+        let mut payload = Vec::new();
+        encode_reply(&reply, &mut payload);
+        let mut want = b"earlier frames".to_vec();
+        want.extend_from_slice(&MAGIC.to_le_bytes());
+        want.extend_from_slice(&[VERSION, Kind::Reply as u8, 0, 0]);
+        want.extend_from_slice(&9u64.to_le_bytes());
+        want.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        let crc = crc32(&[&want[18..34], &payload]);
+        want.extend_from_slice(&crc.to_le_bytes());
+        want.extend_from_slice(&payload);
+        let mut via_slice = b"earlier frames".to_vec();
+        encode_frame(Kind::Reply, 9, &payload, &mut via_slice);
+        assert_eq!(via_slice, want);
+        let mut in_place = b"earlier frames".to_vec();
+        encode_frame_with(Kind::Reply, 9, &mut in_place, |out| encode_reply(&reply, out));
+        assert_eq!(in_place, want);
+        let (frame, used) = decode_frame(&in_place[14..]).unwrap().unwrap();
+        assert_eq!((frame.corr, used), (9, want.len() - 14));
+        assert_eq!(decode_reply(frame.payload).unwrap(), reply);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! that level-triggered wakeup cost is irrelevant.
 //!
 //! One `Poller` is owned by one reactor thread. Cross-thread wakeup (an
-//! executor finished a reply and queued output) goes through a
-//! [`Waker`]: a nonblocking `UnixStream` pair whose read end is
+//! executor finished a burst of replies and queued output) goes through
+//! a [`Waker`]: a nonblocking `UnixStream` pair whose read end is
 //! registered like any other fd.
 
 use std::io::{self, Read, Write};
@@ -244,12 +244,19 @@ mod imp {
 pub use imp::Poller;
 
 /// Cross-thread reactor wakeup: a nonblocking socketpair. `wake` writes
-/// one byte (coalescing naturally once the pipe is full); the reactor
-/// drains on readability. Waking a reactor that already exited is a
-/// silently-ignored broken pipe, which is exactly the semantics the
-/// reply hooks need during shutdown.
+/// one byte; the reactor drains on readability. The server sends one byte
+/// per *burst* of replies, not one per reply: a sender calls `wake` only
+/// when it flips the server's `wake_pending` flag from clear to set, and
+/// the reactor clears the flag before it takes the list of connections
+/// to serve (DESIGN.md §15.2 has the ordering argument). Waking a reactor
+/// that already exited is a silently-ignored broken pipe, which is
+/// exactly the semantics the reply hooks need during shutdown.
 pub struct Waker {
     tx: UnixStream,
+    /// Fault point for the lost-wake-up detector's negative control: the
+    /// next `wake` is swallowed.
+    #[cfg(test)]
+    pub(crate) drop_next: std::sync::atomic::AtomicBool,
 }
 
 impl Waker {
@@ -258,19 +265,29 @@ impl Waker {
         let (tx, rx) = UnixStream::pair()?;
         tx.set_nonblocking(true)?;
         rx.set_nonblocking(true)?;
-        Ok((Waker { tx }, rx))
+        let waker = Waker {
+            tx,
+            #[cfg(test)]
+            drop_next: std::sync::atomic::AtomicBool::new(false),
+        };
+        Ok((waker, rx))
     }
 
     pub fn wake(&self) {
+        #[cfg(test)]
+        if self.drop_next.swap(false, std::sync::atomic::Ordering::SeqCst) {
+            return;
+        }
         // Full pipe (WouldBlock) means a wakeup is already pending;
         // broken pipe means the reactor is gone. Both are fine.
         let _ = (&self.tx).write(&[1u8]);
     }
 
-    /// Drain all pending wakeup bytes from the read end.
+    /// Drain all pending wakeup bytes from the read end. A short read
+    /// emptied the socket, so the usual single byte costs one `read`.
     pub fn drain(rx: &UnixStream) {
         let mut buf = [0u8; 64];
-        while matches!((&*rx).read(&mut buf), Ok(n) if n > 0) {}
+        while matches!((&*rx).read(&mut buf), Ok(n) if n == buf.len()) {}
     }
 }
 

@@ -5,9 +5,11 @@
 //! ([`crate::frame`]), each `Request` runs the tenant gates
 //! ([`crate::tenant`]) and is then submitted to the [`KvClient`]; the
 //! reply comes back through [`txkv::PendingReply::on_reply`] — the
-//! executor that filled the slot encodes the reply frame, appends it to
-//! the connection's outbound buffer and wakes the reactor. No thread is
-//! parked per in-flight request anywhere on the server.
+//! executor that filled the slot encodes the reply frame straight into
+//! the connection's outbound buffer and, once per *burst* of replies,
+//! lists the connection as dirty and wakes the reactor (the flag
+//! protocol is on [`Shared::mark_dirty`]). No thread is parked per
+//! in-flight request anywhere on the server.
 //!
 //! ## Backpressure
 //!
@@ -30,7 +32,6 @@
 //! its hook, observes the dead connection, and is counted in
 //! [`NetReport::replies_to_dead`] instead of leaking or blocking.
 
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
@@ -113,6 +114,11 @@ pub struct NetReport {
     /// Replies whose connection was already gone when they landed; the
     /// reply slot was still answered (never leaked), just undeliverable.
     pub replies_to_dead: u64,
+    /// Reactor polls that timed out with no event and still found the
+    /// dirty list non-empty: a reply burst whose wake-up was lost and that
+    /// only the poll timeout rescued. Always 0 unless the burst hand-off
+    /// protocol is broken.
+    pub wake_rescues: u64,
     /// Per-tenant breakdown.
     pub tenants: Vec<TenantReport>,
 }
@@ -163,10 +169,14 @@ impl Sock {
 struct ConnOut {
     state: Mutex<OutState>,
     inflight: AtomicUsize,
+    /// Set while the connection sits in [`Shared::dirty`] (or is about to
+    /// be pumped for it): the first reply of a burst lists the
+    /// connection, the rest only append bytes.
+    dirty: AtomicBool,
 }
 
 struct OutState {
-    buf: VecDeque<u8>,
+    buf: Vec<u8>,
     dead: bool,
 }
 
@@ -176,9 +186,13 @@ struct Shared {
     window: usize,
     stop: AtomicBool,
     waker: Waker,
-    /// Connection tokens that need reactor attention (queued output,
-    /// reopened window). Pushed by hooks, drained by the reactor.
-    dirty: Mutex<Vec<usize>>,
+    /// Connections that need reactor attention (queued output, reopened
+    /// window): token plus the connection it meant, so an entry that
+    /// outlives its connection cannot pump whichever one reuses the slot.
+    /// Pushed by hooks, taken by the reactor.
+    dirty: Mutex<Vec<(usize, Arc<ConnOut>)>>,
+    /// Set by the hook that wrote the wake byte for the current burst.
+    wake_pending: AtomicBool,
     conns_accepted: AtomicU64,
     conns_closed: AtomicU64,
     frames_in: AtomicU64,
@@ -191,12 +205,27 @@ struct Shared {
     refused_backend: AtomicU64,
     auth_failures: AtomicU64,
     replies_to_dead: AtomicU64,
+    wake_rescues: AtomicU64,
 }
 
 impl Shared {
-    fn mark_dirty(&self, token: usize) {
-        self.dirty.lock().unwrap().push(token);
-        self.waker.wake();
+    /// Hand a connection with fresh output to the reactor, at the cost of
+    /// one list push per connection per burst and one wake byte per burst.
+    ///
+    /// The caller has already appended its bytes and released its window
+    /// slot. Each flag is set *after* the work it announces and cleared by
+    /// the reactor *before* it looks for that work (`wake_pending` before
+    /// it takes the list, `out.dirty` before it pumps), so a hook that
+    /// finds a flag already set knows a reactor pass over its work is
+    /// still to come. All flag and window accesses are `SeqCst`.
+    fn mark_dirty(&self, token: usize, out: &Arc<ConnOut>) {
+        if out.dirty.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        self.dirty.lock().unwrap().push((token, out.clone()));
+        if !self.wake_pending.swap(true, Ordering::SeqCst) {
+            self.waker.wake();
+        }
     }
 
     fn report(&self) -> NetReport {
@@ -213,6 +242,7 @@ impl Shared {
             refused_backend: self.refused_backend.load(Ordering::Relaxed),
             auth_failures: self.auth_failures.load(Ordering::Relaxed),
             replies_to_dead: self.replies_to_dead.load(Ordering::Relaxed),
+            wake_rescues: self.wake_rescues.load(Ordering::Relaxed),
             tenants: self.tenants.tenants.iter().map(TenantReport::from_state).collect(),
         }
     }
@@ -222,7 +252,14 @@ impl Shared {
 
 struct Conn {
     sock: Sock,
+    /// Inbound bytes not yet handled; `rbuf[..rpos]` is already parsed
+    /// and dropped once per pump.
     rbuf: Vec<u8>,
+    rpos: usize,
+    /// Outbound bytes taken from `out` for writing; `wbuf[..wpos]` is on
+    /// the wire. Swapped with the shared buffer, never copied.
+    wbuf: Vec<u8>,
+    wpos: usize,
     out: Arc<ConnOut>,
     /// Authenticated tenant (index into the table), set by `Hello`.
     tenant: Option<usize>,
@@ -280,6 +317,7 @@ impl NetServer {
             stop: AtomicBool::new(false),
             waker,
             dirty: Mutex::new(Vec::new()),
+            wake_pending: AtomicBool::new(false),
             conns_accepted: AtomicU64::new(0),
             conns_closed: AtomicU64::new(0),
             frames_in: AtomicU64::new(0),
@@ -292,6 +330,7 @@ impl NetServer {
             refused_backend: AtomicU64::new(0),
             auth_failures: AtomicU64::new(0),
             replies_to_dead: AtomicU64::new(0),
+            wake_rescues: AtomicU64::new(0),
         });
         let reactor = Reactor {
             shared: shared.clone(),
@@ -301,6 +340,7 @@ impl NetServer {
             uds,
             conns: Vec::new(),
             free: Vec::new(),
+            chunk: vec![0u8; READ_CHUNK],
             depth_cache: (0, Instant::now() - Duration::from_secs(1)),
         };
         reactor.poller.register(reactor.wake_rx.as_raw_fd(), TOK_WAKE, Interest::READ)?;
@@ -365,6 +405,8 @@ struct Reactor {
     uds: Option<UnixListener>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
+    /// The one buffer every socket read lands in.
+    chunk: Vec<u8>,
     /// (combined queue depth, refreshed-at): the pressure signal is read
     /// at most once per millisecond, not per request.
     depth_cache: (usize, Instant),
@@ -373,6 +415,9 @@ struct Reactor {
 impl Reactor {
     fn run(mut self) {
         let mut events: Vec<Event> = Vec::new();
+        let mut dirty: Vec<(usize, Arc<ConnOut>)> = Vec::new();
+        // Connections to pump this turn, each once: (token, hangup).
+        let mut todo: Vec<(usize, bool)> = Vec::new();
         loop {
             if self.shared.stop.load(Ordering::SeqCst) {
                 break;
@@ -380,23 +425,38 @@ impl Reactor {
             if self.poller.wait(&mut events, Some(Duration::from_millis(100))).is_err() {
                 break;
             }
-            let batch: Vec<Event> = std::mem::take(&mut events);
-            for ev in batch {
+            for ev in &events {
                 match ev.token {
                     TOK_WAKE => Waker::drain(&self.wake_rx),
                     TOK_TCP => self.accept_tcp(),
                     TOK_UDS => self.accept_uds(),
-                    t => {
-                        // Level-triggered: pump handles read+write+close
-                        // in one pass; a hangup still pumps first so
-                        // buffered frames are answered before the close.
-                        self.pump(t, ev.hangup);
-                    }
+                    // Level-triggered: pump handles read+write+close
+                    // in one pass; a hangup still pumps first so
+                    // buffered frames are answered before the close.
+                    t => todo.push((t, ev.hangup)),
                 }
             }
-            let dirty: Vec<usize> = std::mem::take(&mut *self.shared.dirty.lock().unwrap());
-            for t in dirty {
-                self.pump(t, false);
+            let socket_events = todo.len();
+            // Clear-then-take, clear-then-pump: see `Shared::mark_dirty`.
+            self.shared.wake_pending.store(false, Ordering::SeqCst);
+            std::mem::swap(&mut dirty, &mut *self.shared.dirty.lock().unwrap());
+            if events.is_empty() && !dirty.is_empty() {
+                self.shared.wake_rescues.fetch_add(1, Ordering::Relaxed);
+            }
+            for (token, out) in dirty.drain(..) {
+                // A late hook's entry can outlive its connection; the slot
+                // may be empty or belong to a newer connection by now.
+                let conn = self.conns.get(token - TOK_CONN0).and_then(Option::as_ref);
+                if !conn.is_some_and(|c| Arc::ptr_eq(&c.out, &out)) {
+                    continue;
+                }
+                out.dirty.store(false, Ordering::SeqCst);
+                if !todo[..socket_events].iter().any(|&(t, _)| t == token) {
+                    todo.push((token, false));
+                }
+            }
+            for (token, hangup) in todo.drain(..) {
+                self.pump(token, hangup);
             }
         }
         // Shutdown: every connection's outbound half goes dead so late
@@ -439,9 +499,13 @@ impl Reactor {
         let conn = Conn {
             sock,
             rbuf: Vec::new(),
+            rpos: 0,
+            wbuf: Vec::new(),
+            wpos: 0,
             out: Arc::new(ConnOut {
-                state: Mutex::new(OutState { buf: VecDeque::new(), dead: false }),
+                state: Mutex::new(OutState { buf: Vec::new(), dead: false }),
                 inflight: AtomicUsize::new(0),
+                dirty: AtomicBool::new(false),
             }),
             tenant: None,
             interest: Interest::READ,
@@ -475,7 +539,7 @@ impl Reactor {
         {
             let mut st = conn.out.state.lock().unwrap();
             st.dead = true;
-            st.buf.clear();
+            st.buf = Vec::new();
         }
         let _ = self.poller.deregister(conn.sock.raw_fd());
         self.free.push(ix);
@@ -497,38 +561,37 @@ impl Reactor {
     fn pump(&mut self, token: usize, hangup: bool) {
         let ix = token - TOK_CONN0;
         if self.conns.get(ix).map(|c| c.is_none()).unwrap_or(true) {
-            return; // stale dirty token for an already-closed conn
+            return; // closed earlier in this turn
         }
         let mut eof = false;
+        // Whether the kernel buffer may hold more bytes: a short read
+        // emptied it, and the poller reports whatever arrives next.
+        let mut more = true;
         loop {
             self.drain_frames(ix);
-            if self.conn(ix).closing || eof {
+            // Window or HWM closed: leave bytes in the kernel buffer. At
+            // EOF the full frames that already arrived were just answered.
+            if self.conn(ix).closing || eof || !more || !self.may_read(ix) {
                 break;
             }
-            // Window or HWM closed: leave bytes in the kernel buffer.
-            if !self.may_read(ix) {
-                break;
-            }
-            let mut chunk = [0u8; READ_CHUNK];
-            match self.conn_mut(ix).sock.read(&mut chunk) {
+            let conn = self.conns[ix].as_mut().unwrap();
+            match conn.sock.read(&mut self.chunk) {
                 Ok(0) => eof = true,
                 Ok(n) => {
-                    self.conn_mut(ix).rbuf.extend_from_slice(&chunk[..n]);
-                    continue;
+                    conn.rbuf.extend_from_slice(&self.chunk[..n]);
+                    more = n == self.chunk.len();
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => more = false,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => eof = true,
             }
-            if eof {
-                // Answer whatever full frames already arrived, then close.
-                self.drain_frames(ix);
-                break;
-            }
         }
+        let c = self.conn_mut(ix);
+        c.rbuf.drain(..c.rpos);
+        c.rpos = 0;
         let flushed = self.flush(ix);
+        let out_empty = flushed && self.unsent(ix) == 0;
         let c = self.conn(ix);
-        let out_empty = flushed && c.out.state.lock().unwrap().buf.is_empty();
         if eof || hangup || (c.closing && out_empty) || !flushed {
             self.close_conn(token);
             return;
@@ -550,24 +613,29 @@ impl Reactor {
         self.conns[ix].as_mut().unwrap()
     }
 
-    fn may_read(&self, ix: usize) -> bool {
+    /// Outbound bytes the peer has not taken yet.
+    fn unsent(&self, ix: usize) -> usize {
         let c = self.conn(ix);
-        c.out.inflight.load(Ordering::Acquire) < self.shared.window
-            && c.out.state.lock().unwrap().buf.len() < OUT_HWM
+        c.wbuf.len() - c.wpos + c.out.state.lock().unwrap().buf.len()
+    }
+
+    fn may_read(&self, ix: usize) -> bool {
+        self.conn(ix).out.inflight.load(Ordering::SeqCst) < self.shared.window
+            && self.unsent(ix) < OUT_HWM
     }
 
     /// Parse and handle complete frames from the connection's read
     /// buffer, stopping at the admission window / HWM / poison.
     fn drain_frames(&mut self, ix: usize) {
-        loop {
-            if self.conn(ix).closing || !self.may_read(ix) {
-                return;
-            }
-            let parsed = frame::decode_frame(&self.conn(ix).rbuf);
-            match parsed {
-                Ok(None) => return,
+        // The frames borrow the buffer while their handlers borrow the
+        // reactor, so the buffer steps out of the connection meanwhile.
+        let rbuf = std::mem::take(&mut self.conn_mut(ix).rbuf);
+        let mut pos = self.conn(ix).rpos;
+        while !self.conn(ix).closing && self.may_read(ix) {
+            match frame::decode_frame(&rbuf[pos..]) {
+                Ok(None) => break,
                 Ok(Some((frame, used))) => {
-                    self.conn_mut(ix).rbuf.drain(..used);
+                    pos += used;
                     self.shared.frames_in.fetch_add(1, Ordering::Relaxed);
                     self.handle_frame(ix, frame);
                 }
@@ -575,17 +643,18 @@ impl Reactor {
                     // Stream poisoned: answer with the typed error and
                     // flush-then-close. corr 0 (no frame to correlate).
                     self.proto_error(ix, 0, e.code());
-                    return;
+                    break;
                 }
             }
         }
+        let c = self.conn_mut(ix);
+        c.rbuf = rbuf;
+        c.rpos = pos;
     }
 
     fn proto_error(&mut self, ix: usize, corr: u64, code: ProtoCode) {
         self.shared.proto_errors.fetch_add(1, Ordering::Relaxed);
-        let mut payload = Vec::new();
-        frame::encode_proto_error(code, &mut payload);
-        self.send(ix, Kind::ProtoError, corr, &payload);
+        self.send(ix, Kind::ProtoError, corr, |out| frame::encode_proto_error(code, out));
         if code.poisons_stream()
             || matches!(
                 code,
@@ -600,17 +669,15 @@ impl Reactor {
     }
 
     /// Append one frame to the connection's outbound buffer.
-    fn send(&mut self, ix: usize, kind: Kind, corr: u64, payload: &[u8]) {
-        let mut bytes = Vec::with_capacity(frame::HEADER_LEN + payload.len());
-        frame::encode_frame(kind, corr, payload, &mut bytes);
+    fn send(&mut self, ix: usize, kind: Kind, corr: u64, payload: impl FnOnce(&mut Vec<u8>)) {
         self.shared.frames_out.fetch_add(1, Ordering::Relaxed);
         let mut st = self.conn(ix).out.state.lock().unwrap();
         if !st.dead {
-            st.buf.extend(bytes);
+            frame::encode_frame_with(kind, corr, &mut st.buf, payload);
         }
     }
 
-    fn handle_frame(&mut self, ix: usize, f: Frame) {
+    fn handle_frame(&mut self, ix: usize, f: Frame<'_>) {
         match Kind::from_u8(f.kind) {
             Some(Kind::Hello) => self.handle_hello(ix, f),
             Some(Kind::Request) => self.handle_request(ix, f),
@@ -618,21 +685,20 @@ impl Reactor {
         }
     }
 
-    fn handle_hello(&mut self, ix: usize, f: Frame) {
+    fn handle_hello(&mut self, ix: usize, f: Frame<'_>) {
         if self.conn(ix).tenant.is_some() {
             self.proto_error(ix, f.corr, ProtoCode::DuplicateHello);
             return;
         }
-        let Ok((id, token)) = frame::decode_hello(&f.payload) else {
+        let Ok((id, token)) = frame::decode_hello(f.payload) else {
             self.proto_error(ix, f.corr, ProtoCode::BadPayload);
             return;
         };
         match self.shared.tenants.auth(id, token) {
             Some(tix) => {
                 self.conn_mut(ix).tenant = Some(tix);
-                let mut payload = Vec::new();
-                frame::encode_hello_ok(self.shared.window as u32, &mut payload);
-                self.send(ix, Kind::HelloOk, f.corr, &payload);
+                let window = self.shared.window as u32;
+                self.send(ix, Kind::HelloOk, f.corr, |out| frame::encode_hello_ok(window, out));
             }
             None => {
                 self.shared.auth_failures.fetch_add(1, Ordering::Relaxed);
@@ -641,12 +707,12 @@ impl Reactor {
         }
     }
 
-    fn handle_request(&mut self, ix: usize, f: Frame) {
+    fn handle_request(&mut self, ix: usize, f: Frame<'_>) {
         let Some(tix) = self.conn(ix).tenant else {
             self.proto_error(ix, f.corr, ProtoCode::NotAuthed);
             return;
         };
-        let Ok(op) = frame::decode_op(&f.payload) else {
+        let Ok(op) = frame::decode_op(f.payload) else {
             self.proto_error(ix, f.corr, ProtoCode::BadPayload);
             return;
         };
@@ -673,7 +739,7 @@ impl Reactor {
                 tenant_state.accepted.fetch_add(1, Ordering::Relaxed);
                 self.shared.accepted.fetch_add(1, Ordering::Relaxed);
                 let out = self.conn(ix).out.clone();
-                out.inflight.fetch_add(1, Ordering::AcqRel);
+                out.inflight.fetch_add(1, Ordering::SeqCst);
                 let shared = self.shared.clone();
                 let token = TOK_CONN0 + ix;
                 let corr = f.corr;
@@ -691,31 +757,27 @@ impl Reactor {
     }
 
     fn refuse(&mut self, ix: usize, corr: u64, r: &Refusal) {
-        let mut payload = Vec::new();
-        frame::encode_refusal(r, &mut payload);
-        self.send(ix, Kind::Refused, corr, &payload);
+        self.send(ix, Kind::Refused, corr, |out| frame::encode_refusal(r, out));
     }
 
     /// Write as much queued output as the socket takes. `false` = the
     /// connection died mid-write.
     fn flush(&mut self, ix: usize) -> bool {
+        let c = self.conns[ix].as_mut().unwrap();
         loop {
-            // Take a contiguous run under the lock, write outside it.
-            let chunk: Vec<u8> = {
-                let st = self.conn(ix).out.state.lock().unwrap();
-                if st.buf.is_empty() {
+            if c.wpos == c.wbuf.len() {
+                // Everything taken so far is on the wire: trade the spent
+                // buffer for whatever the hooks queued since.
+                c.wbuf.clear();
+                c.wpos = 0;
+                std::mem::swap(&mut c.wbuf, &mut c.out.state.lock().unwrap().buf);
+                if c.wbuf.is_empty() {
                     return true;
                 }
-                let (a, _) = st.buf.as_slices();
-                a[..a.len().min(READ_CHUNK)].to_vec()
-            };
-            match self.conn_mut(ix).sock.write(&chunk) {
+            }
+            match c.sock.write(&c.wbuf[c.wpos..]) {
                 Ok(0) => return false,
-                Ok(n) => {
-                    let mut st = self.conn(ix).out.state.lock().unwrap();
-                    let take = n.min(st.buf.len());
-                    st.buf.drain(..take);
-                }
+                Ok(n) => c.wpos += n,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return false,
@@ -742,27 +804,67 @@ fn deliver(
         t.answered.fetch_add(1, Ordering::Relaxed);
     }
     t.e2e.lock().unwrap().record(t0.elapsed());
-    let mut payload = Vec::new();
-    frame::encode_reply(&reply, &mut payload);
-    let mut bytes = Vec::with_capacity(frame::HEADER_LEN + payload.len());
-    frame::encode_frame(Kind::Reply, corr, &payload, &mut bytes);
     let delivered = {
         let mut st = out.state.lock().unwrap();
-        if st.dead {
-            false
-        } else {
-            st.buf.extend(bytes);
-            true
+        if !st.dead {
+            frame::encode_frame_with(Kind::Reply, corr, &mut st.buf, |buf| {
+                frame::encode_reply(&reply, buf)
+            });
         }
+        !st.dead
     };
     // The window slot frees regardless of deliverability — and only
     // after the bytes are queued, so a reopened window can't overtake
     // its own reply.
-    out.inflight.fetch_sub(1, Ordering::AcqRel);
+    out.inflight.fetch_sub(1, Ordering::SeqCst);
     if delivered {
         shared.frames_out.fetch_add(1, Ordering::Relaxed);
+        shared.mark_dirty(token, out);
     } else {
+        // Nothing to flush and nobody to read more from.
         shared.replies_to_dead.fetch_add(1, Ordering::Relaxed);
     }
-    shared.mark_dirty(token);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{NetClient, TenantSpec};
+    use tm_api::TmBackend;
+    use txkv::{KvOp, KvStore, Pipeline, PipelineConfig};
+
+    /// The negative control for [`NetReport::wake_rescues`]: swallow the
+    /// one wake byte a reply burst sends. The reply must still arrive —
+    /// by the poll timeout — and the detector must say so.
+    #[test]
+    fn a_dropped_wake_byte_is_rescued_by_the_poll_timeout_and_counted() {
+        let backend = si_htm::SiHtm::with_defaults(1 << 16);
+        let store = KvStore::create(backend.memory(), 0, 1 << 16);
+        let pipeline = Pipeline::start(backend, store, PipelineConfig::quick());
+        let sock = std::env::temp_dir().join(format!("txkv-net-wake-{}.sock", std::process::id()));
+        let server = NetServer::start(
+            pipeline.client(),
+            NetServerConfig {
+                uds: Some(sock),
+                tenants: vec![TenantSpec { id: 1, token: 2, priority: 0, rate: 1000, burst: 1000 }],
+                ..NetServerConfig::new()
+            },
+        )
+        .expect("server start");
+        let client = NetClient::connect_uds(server.uds_path().unwrap(), 1, 2).expect("connect");
+        client.call(&KvOp::Put { key: 1, val: 10 }).expect("healthy call");
+        assert_eq!(server.report().wake_rescues, 0);
+
+        server.shared.waker.drop_next.store(true, Ordering::SeqCst);
+        let t0 = Instant::now();
+        assert_eq!(client.call(&KvOp::Get { key: 1 }), Ok(KvReply::Value(Some(10))));
+        assert!(!server.shared.waker.drop_next.load(Ordering::SeqCst), "the fault fired");
+        assert_eq!(server.report().wake_rescues, 1, "reply arrived after {:?}", t0.elapsed());
+
+        // The rescue re-armed the protocol: the next burst wakes normally.
+        client.call(&KvOp::Get { key: 1 }).expect("call after the rescue");
+        drop(client);
+        pipeline.shutdown();
+        assert_eq!(server.shutdown().wake_rescues, 1);
+    }
 }

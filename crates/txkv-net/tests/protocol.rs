@@ -10,7 +10,9 @@ use std::time::{Duration, Instant};
 use tm_api::TmBackend;
 use txkv::{KvOp, KvReply, KvStore, Pipeline, PipelineConfig};
 use txkv_net::frame::{self, Kind, ProtoCode, MAX_PAYLOAD};
-use txkv_net::{NetClient, NetError, NetServer, NetServerConfig, ShedConfig, TenantSpec};
+use txkv_net::{
+    NetClient, NetError, NetReport, NetServer, NetServerConfig, ShedConfig, TenantSpec,
+};
 
 const TENANT: u64 = 1;
 const TOKEN: u64 = 0xBEEF;
@@ -47,6 +49,14 @@ fn uds_path() -> std::path::PathBuf {
     ))
 }
 
+/// Every test's server must stop without ever having needed the poll
+/// timeout to notice a reply burst (a lost reactor wake-up).
+fn shutdown_checked(server: NetServer) -> NetReport {
+    let net = server.shutdown();
+    assert_eq!(net.wake_rescues, 0, "a reply burst waited for the reactor's poll timeout");
+    net
+}
+
 /// The liveness probe: a fresh, well-behaved connection must round-trip.
 fn assert_alive(server: &NetServer) {
     let client =
@@ -59,15 +69,25 @@ fn assert_alive(server: &NetServer) {
     assert_eq!(client.call(&KvOp::Delete { key: 999 }).unwrap(), KvReply::Done { changed: true });
 }
 
+/// A decoded frame that owns its payload (`frame::Frame` borrows it).
+struct OwnedFrame {
+    kind: u8,
+    corr: u64,
+    payload: Vec<u8>,
+}
+
 /// Read frames from a raw socket until one decodes (or EOF / timeout).
-fn read_frame(sock: &mut TcpStream) -> Option<frame::Frame> {
+fn read_frame(sock: &mut TcpStream) -> Option<OwnedFrame> {
     sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     let mut buf = Vec::new();
     loop {
         match frame::decode_frame(&buf) {
-            Ok(Some((f, used))) => {
-                buf.drain(..used);
-                return Some(f);
+            Ok(Some((f, _))) => {
+                return Some(OwnedFrame {
+                    kind: f.kind,
+                    corr: f.corr,
+                    payload: f.payload.to_vec(),
+                });
             }
             Ok(None) => {}
             Err(_) => panic!("server sent an undecodable frame"),
@@ -159,7 +179,7 @@ fn roundtrip_over_tcp_and_uds() {
     }
     let report = pipeline.shutdown();
     assert_eq!(report.starved_executors, 0);
-    let net = server.shutdown();
+    let net = shutdown_checked(server);
     assert_eq!(net.proto_errors, 0);
     assert_eq!(net.accepted, net.answered());
 }
@@ -178,7 +198,7 @@ fn pipelined_requests_demultiplex_by_correlation_id() {
         assert_eq!(p.wait().unwrap(), KvReply::Value(Some(k * 7)), "corr mixed up key {k}");
     }
     pipeline.shutdown();
-    server.shutdown();
+    shutdown_checked(server);
 }
 
 #[test]
@@ -190,7 +210,7 @@ fn bad_magic_answers_typed_error_and_closes() {
     expect_eof(&mut sock);
     assert_alive(&server);
     pipeline.shutdown();
-    let net = server.shutdown();
+    let net = shutdown_checked(server);
     assert!(net.proto_errors >= 1);
 }
 
@@ -206,7 +226,7 @@ fn oversized_length_is_refused_before_buffering() {
     expect_eof(&mut sock);
     assert_alive(&server);
     pipeline.shutdown();
-    server.shutdown();
+    shutdown_checked(server);
 }
 
 #[test]
@@ -221,7 +241,7 @@ fn crc_mismatch_is_refused() {
     expect_eof(&mut sock);
     assert_alive(&server);
     pipeline.shutdown();
-    server.shutdown();
+    shutdown_checked(server);
 }
 
 #[test]
@@ -235,7 +255,7 @@ fn wrong_version_is_refused() {
     expect_eof(&mut sock);
     assert_alive(&server);
     pipeline.shutdown();
-    server.shutdown();
+    shutdown_checked(server);
 }
 
 #[test]
@@ -260,7 +280,7 @@ fn truncated_frame_then_disconnect_is_harmless() {
     let report = pipeline.shutdown();
     assert_eq!(report.starved_executors, 0);
     assert_eq!(report.panicked_executors, 0);
-    server.shutdown();
+    shutdown_checked(server);
 }
 
 #[test]
@@ -276,7 +296,7 @@ fn request_before_hello_is_refused() {
     expect_eof(&mut sock);
     assert_alive(&server);
     pipeline.shutdown();
-    server.shutdown();
+    shutdown_checked(server);
 }
 
 #[test]
@@ -292,7 +312,7 @@ fn bad_token_is_auth_failed() {
     }
     assert_alive(&server);
     pipeline.shutdown();
-    let net = server.shutdown();
+    let net = shutdown_checked(server);
     assert_eq!(net.auth_failures, 2);
 }
 
@@ -322,7 +342,7 @@ fn bad_payload_answers_per_request_and_connection_survives() {
     assert_eq!(ok.corr, 56);
     assert_eq!(frame::decode_reply(&ok.payload).unwrap(), KvReply::Done { changed: true });
     pipeline.shutdown();
-    server.shutdown();
+    shutdown_checked(server);
 }
 
 /// Seeded frame fuzzer: random byte soup, frame-shaped garbage, and
@@ -402,6 +422,6 @@ fn seeded_frame_fuzzer_never_wedges_the_server() {
     let report = pipeline.shutdown();
     assert_eq!(report.starved_executors, 0, "fuzzing must not stall an executor");
     assert_eq!(report.panicked_executors, 0, "fuzzing must not panic an executor");
-    let net = server.shutdown();
+    let net = shutdown_checked(server);
     assert_eq!(net.accepted, net.answered(), "every accepted request answered-or-shed");
 }

@@ -57,6 +57,14 @@ fn start(
     (pipeline, server)
 }
 
+/// Every test's server must stop without ever having needed the poll
+/// timeout to notice a reply burst (a lost reactor wake-up).
+fn shutdown_checked(server: NetServer) -> NetReport {
+    let net = server.shutdown();
+    assert_eq!(net.wake_rescues, 0, "a reply burst waited for the reactor's poll timeout");
+    net
+}
+
 fn tenant(report: &NetReport, id: u64) -> &txkv_net::TenantReport {
     report.tenants.iter().find(|t| t.tenant == id).expect("tenant in report")
 }
@@ -139,7 +147,7 @@ fn noisy_neighbor_is_throttled_with_typed_per_tenant_refusals() {
     assert_eq!(report.starved_executors, 0, "no executor starves under a noisy neighbor");
     assert_eq!(report.panicked_executors, 0);
 
-    let net = server.shutdown();
+    let net = shutdown_checked(server);
     assert_eq!(net.accepted, net.answered(), "every accepted request answered-or-shed");
     let noisy = tenant(&net, NOISY);
     assert!(noisy.refused_quota + noisy.refused_pressure > 0, "refusals typed per tenant");
@@ -175,7 +183,7 @@ fn answered_or_shed_holds_across_disconnect_with_inflight_requests() {
     let report = pipeline.shutdown();
     assert_eq!(report.starved_executors, 0);
     assert_eq!(report.panicked_executors, 0);
-    let net = server.shutdown();
+    let net = shutdown_checked(server);
     assert_eq!(
         net.accepted,
         net.answered(),
@@ -200,7 +208,7 @@ fn server_window_bounds_inflight_and_preserves_correlation() {
         assert_eq!(p.wait().unwrap(), KvReply::Value(Some(k * 3)));
     }
     pipeline.shutdown();
-    server.shutdown();
+    shutdown_checked(server);
 }
 
 /// Chaos-armed variant: injected aborts and stalls under the pipeline
@@ -241,7 +249,7 @@ fn noisy_neighbor_under_chaos_keeps_invariants() {
     let report = pipeline.shutdown();
     assert_eq!(report.starved_executors, 0, "chaos must not starve an executor");
     assert_eq!(report.panicked_executors, 0);
-    let net = server.shutdown();
+    let net = shutdown_checked(server);
     assert_eq!(net.accepted, net.answered(), "answered-or-shed must survive chaos");
     let prot = tenant(&net, PROT);
     assert_eq!(prot.refused(), 0, "protected tenant never refused, even under chaos");

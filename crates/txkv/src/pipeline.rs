@@ -59,8 +59,8 @@ use crate::KvError;
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex};
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 use tm_api::{Abort, AbortReason, BackoffPolicy, ContentionManager, LatencyHist};
 use tm_api::{Outcome, ThreadStats, TmBackend, TmThread, TwoPcStats, Tx, TxKind, WalStats};
@@ -128,17 +128,25 @@ impl Default for PipelineConfig {
 /// filled). Boxed because each request carries at most one.
 type FillHook = Box<dyn FnOnce(KvReply) + Send>;
 
-/// Write-once reply cell a client blocks on — or, with a registered
-/// [`FillHook`], an async completion a network front end is called back
-/// on instead of parking a thread per in-flight request.
+/// Write-once reply cell with one consumer: the [`PendingReply`] either
+/// blocks on it ([`ReplySlot::wait`]) or registers a [`FillHook`] a
+/// network front end is called back on instead of parking a thread per
+/// in-flight request. One mechanism serves both styles, and a fill costs
+/// a wake-up syscall only when a thread is actually parked: `unpark` of a
+/// running thread is a single atomic swap.
 struct ReplySlot {
-    cell: Mutex<SlotInner>,
-    filled: Condvar,
+    state: Mutex<SlotState>,
 }
 
-struct SlotInner {
-    reply: Option<KvReply>,
-    hook: Option<FillHook>,
+enum SlotState {
+    Empty,
+    /// `wait()` registered this thread and parks until `Filled`.
+    Waiting(Thread),
+    /// `on_reply` got here before the reply did.
+    Hook(FillHook),
+    Filled(KvReply),
+    /// The reply was handed to its hook; nothing is left to read.
+    Done,
 }
 
 /// Hooks run on whichever thread fills the slot — an executor, or an
@@ -151,27 +159,26 @@ fn run_fill_hook(hook: FillHook, reply: KvReply) {
 
 impl ReplySlot {
     fn new() -> Self {
-        ReplySlot {
-            cell: Mutex::new(SlotInner { reply: None, hook: None }),
-            filled: Condvar::new(),
-        }
+        ReplySlot { state: Mutex::new(SlotState::Empty) }
     }
 
     /// First write wins; later fills are no-ops (the `Drop` backstop).
     /// The hook, if any, is taken under the lock but invoked outside it:
-    /// a hook is arbitrary caller code and must not hold up `wait()`ers.
+    /// a hook is arbitrary caller code.
     fn fill(&self, reply: KvReply) {
-        let hook = {
-            let mut g = self.cell.lock().unwrap();
-            if g.reply.is_some() {
-                return;
+        let mut g = self.state.lock().unwrap();
+        match std::mem::replace(&mut *g, SlotState::Done) {
+            SlotState::Empty => *g = SlotState::Filled(reply),
+            SlotState::Waiting(waiter) => {
+                *g = SlotState::Filled(reply);
+                drop(g);
+                waiter.unpark();
             }
-            g.reply = Some(reply.clone());
-            self.filled.notify_all();
-            g.hook.take()
-        };
-        if let Some(h) = hook {
-            run_fill_hook(h, reply);
+            SlotState::Hook(hook) => {
+                drop(g);
+                run_fill_hook(hook, reply);
+            }
+            answered => *g = answered,
         }
     }
 
@@ -179,33 +186,36 @@ impl ReplySlot {
     /// fires right here on the caller's thread — registration can race
     /// with a fast executor, and "exactly once" must survive that race.
     fn on_fill(&self, hook: FillHook) {
-        let ready = {
-            let mut g = self.cell.lock().unwrap();
-            match g.reply.clone() {
-                Some(r) => Some(r),
-                None => {
-                    g.hook = Some(hook);
-                    return;
-                }
+        let mut g = self.state.lock().unwrap();
+        match std::mem::replace(&mut *g, SlotState::Done) {
+            SlotState::Filled(reply) => {
+                drop(g);
+                run_fill_hook(hook, reply);
             }
-        };
-        if let Some(r) = ready {
-            run_fill_hook(hook, r);
+            _ => *g = SlotState::Hook(hook),
         }
     }
 
     fn wait(&self) -> KvReply {
-        let mut g = self.cell.lock().unwrap();
         loop {
-            if let Some(r) = g.reply.as_ref() {
-                return r.clone();
+            {
+                let mut g = self.state.lock().unwrap();
+                match &*g {
+                    SlotState::Filled(reply) => return reply.clone(),
+                    SlotState::Empty => *g = SlotState::Waiting(std::thread::current()),
+                    // Still `Waiting`: `park` returned spuriously.
+                    _ => {}
+                }
             }
-            g = self.filled.wait(g).unwrap();
+            std::thread::park();
         }
     }
 
     fn try_get(&self) -> Option<KvReply> {
-        self.cell.lock().unwrap().reply.clone()
+        match &*self.state.lock().unwrap() {
+            SlotState::Filled(reply) => Some(reply.clone()),
+            _ => None,
+        }
     }
 }
 
@@ -2304,6 +2314,97 @@ mod tests {
         );
         let cfg = PipelineConfig { executors, ..PipelineConfig::quick() };
         Pipeline::start_sharded(domains, map, cfg)
+    }
+
+    /// A helper thread that fills every slot it is sent with the paired
+    /// value, so a test can race `fill` against its own `wait`/`on_fill`
+    /// without spawning a thread per round.
+    fn filler() -> (std::sync::mpsc::Sender<(Arc<ReplySlot>, u64)>, JoinHandle<()>) {
+        let (tx, rx) = std::sync::mpsc::channel::<(Arc<ReplySlot>, u64)>();
+        let t = std::thread::spawn(move || {
+            for (slot, v) in rx {
+                slot.fill(KvReply::Value(Some(v)));
+            }
+        });
+        (tx, t)
+    }
+
+    #[test]
+    fn slot_wait_racing_fill_always_sees_the_reply() {
+        // No barrier: the channel hand-off lands the fill before, during
+        // and after `wait` registers itself, depending on the round. A
+        // fill that misses a registered waiter parks this thread forever.
+        let (tx, t) = filler();
+        for i in 0..100_000u64 {
+            let slot = Arc::new(ReplySlot::new());
+            tx.send((slot.clone(), i)).unwrap();
+            assert_eq!(slot.wait(), KvReply::Value(Some(i)));
+            assert_eq!(slot.try_get(), Some(KvReply::Value(Some(i))));
+        }
+        drop(tx);
+        t.join().unwrap();
+    }
+
+    fn counting_hook(fired: &Arc<AtomicU64>, seen: &Arc<Mutex<Option<KvReply>>>) -> FillHook {
+        let (fired, seen) = (fired.clone(), seen.clone());
+        Box::new(move |reply| {
+            fired.fetch_add(1, Ordering::SeqCst);
+            *seen.lock().unwrap() = Some(reply);
+        })
+    }
+
+    #[test]
+    fn on_reply_fires_exactly_once_however_it_races_the_fill() {
+        let fired = Arc::new(AtomicU64::new(0));
+        let seen = Arc::new(Mutex::new(None));
+        // Registered before the fill; a second fill (the envelope's Drop
+        // backstop after a served reply) must not fire it again.
+        let slot = ReplySlot::new();
+        slot.on_fill(counting_hook(&fired, &seen));
+        assert_eq!(fired.load(Ordering::SeqCst), 0);
+        slot.fill(KvReply::CasOk);
+        slot.fill(KvReply::Shed);
+        assert_eq!(fired.load(Ordering::SeqCst), 1);
+        assert_eq!(seen.lock().unwrap().take(), Some(KvReply::CasOk));
+        assert_eq!(slot.try_get(), None, "the reply moved into the hook");
+        // Registered after the fill: fires on the registering thread.
+        let slot = ReplySlot::new();
+        slot.fill(KvReply::CasOk);
+        slot.on_fill(counting_hook(&fired, &seen));
+        assert_eq!(fired.load(Ordering::SeqCst), 2);
+        assert_eq!(seen.lock().unwrap().take(), Some(KvReply::CasOk));
+        // Registered while the fill runs on another thread.
+        let (tx, t) = filler();
+        for i in 0..20_000u64 {
+            let slot = Arc::new(ReplySlot::new());
+            tx.send((slot.clone(), i)).unwrap();
+            slot.on_fill(counting_hook(&fired, &seen));
+            // The hook may still be running on the filler; wait it out.
+            while fired.load(Ordering::SeqCst) < 3 + i {
+                std::thread::yield_now();
+            }
+            assert_eq!(fired.load(Ordering::SeqCst), 3 + i);
+            assert_eq!(seen.lock().unwrap().take(), Some(KvReply::Value(Some(i))));
+        }
+        drop(tx);
+        t.join().unwrap();
+    }
+
+    #[test]
+    fn request_dropped_during_unwind_sheds_through_the_hook_once() {
+        let fired = Arc::new(AtomicU64::new(0));
+        let seen = Arc::new(Mutex::new(None));
+        let slot = Arc::new(ReplySlot::new());
+        let req =
+            Request { op: KvOp::Get { key: 1 }, slot: slot.clone(), enqueued: Instant::now() };
+        PendingReply { slot }.on_reply(counting_hook(&fired, &seen));
+        let unwound = catch_unwind(AssertUnwindSafe(move || {
+            let _in_flight = req;
+            panic!("executor dies mid-request");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(fired.load(Ordering::SeqCst), 1);
+        assert_eq!(seen.lock().unwrap().take(), Some(KvReply::Shed));
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Bounded MPMC submission queues with shed-on-full admission control.
 //!
 //! One [`SubmitQueue`] holds two lanes — read-only and update — behind a
-//! single mutex, with a condvar for executor parking. Capacities are fixed
+//! single mutex, with a condvar for executor parking. The mutex also
+//! counts the parked executors, so a push notifies (a futex syscall) only
+//! when one is actually parked. Capacities are fixed
 //! at construction; a push against a full lane fails immediately with
 //! [`PushError::Full`] (the caller surfaces `KvError::Overloaded`), so the
 //! queue is the system's backpressure valve: under sustained overload
@@ -32,6 +34,8 @@ struct Inner<T> {
     ro: VecDeque<T>,
     rw: VecDeque<T>,
     closed: bool,
+    /// Executors inside [`SubmitQueue::wait_for_work`]'s condvar wait.
+    parked: usize,
 }
 
 /// Two-lane bounded MPMC queue (read-only + update).
@@ -46,7 +50,12 @@ impl<T> SubmitQueue<T> {
     pub fn new(ro_cap: usize, rw_cap: usize) -> Self {
         assert!(ro_cap > 0 && rw_cap > 0, "queue capacities must be nonzero");
         SubmitQueue {
-            inner: Mutex::new(Inner { ro: VecDeque::new(), rw: VecDeque::new(), closed: false }),
+            inner: Mutex::new(Inner {
+                ro: VecDeque::new(),
+                rw: VecDeque::new(),
+                closed: false,
+                parked: 0,
+            }),
             work: Condvar::new(),
             ro_cap,
             rw_cap,
@@ -65,8 +74,13 @@ impl<T> SubmitQueue<T> {
             return Err(PushError::Full(item));
         }
         lane.push_back(item);
+        // A parker counts itself in under this mutex before it waits, so
+        // `parked == 0` here means nobody can miss this push.
+        let wake = g.parked > 0;
         drop(g);
-        self.work.notify_one();
+        if wake {
+            self.work.notify_one();
+        }
         Ok(())
     }
 
@@ -125,11 +139,13 @@ impl<T> SubmitQueue<T> {
     /// elapses. Returns `true` when a lane is non-empty or the queue is
     /// closed (spurious wakeups simply re-loop in the caller).
     pub fn wait_for_work(&self, timeout: Duration) -> bool {
-        let g = self.inner.lock().unwrap();
+        let mut g = self.inner.lock().unwrap();
         if !g.ro.is_empty() || !g.rw.is_empty() || g.closed {
             return true;
         }
-        let (g, _timeout) = self.work.wait_timeout(g, timeout).unwrap();
+        g.parked += 1;
+        let (mut g, _timeout) = self.work.wait_timeout(g, timeout).unwrap();
+        g.parked -= 1;
         !g.ro.is_empty() || !g.rw.is_empty() || g.closed
     }
 }
@@ -222,5 +238,50 @@ mod tests {
         std::thread::sleep(Duration::from_millis(5));
         q.close();
         assert!(t.join().unwrap());
+    }
+
+    #[test]
+    fn every_push_reaches_a_parked_executor() {
+        // Two executors park with a 30 s timeout; the producer pushes the
+        // next item only after the previous one was consumed, so nearly
+        // every push meets parked executors. One push that skips its
+        // notify while both executors are parked stalls for the 30 s; the
+        // whole run has 2 s.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        const ITEMS: usize = 10_000;
+        let q = Arc::new(SubmitQueue::new(4, 4));
+        let consumed = Arc::new(AtomicUsize::new(0));
+        let start = std::time::Instant::now();
+        let executors: Vec<_> = (0..2)
+            .map(|_| {
+                let (q, consumed) = (q.clone(), consumed.clone());
+                std::thread::spawn(move || {
+                    let mut batch = Vec::new();
+                    while !q.is_done() {
+                        let mut n = usize::from(q.try_pop_update().is_some());
+                        n += q.try_pop_ro_batch(4, &mut batch);
+                        batch.clear();
+                        if n > 0 {
+                            consumed.fetch_add(n, Ordering::SeqCst);
+                        } else {
+                            q.wait_for_work(Duration::from_secs(30));
+                        }
+                    }
+                })
+            })
+            .collect();
+        for i in 0..ITEMS {
+            q.try_push(i % 2 == 0, i).unwrap();
+            while consumed.load(Ordering::SeqCst) <= i {
+                assert!(start.elapsed() < Duration::from_secs(2), "push {i} woke nobody");
+                std::thread::yield_now();
+            }
+        }
+        q.close();
+        for t in executors {
+            t.join().unwrap();
+        }
+        assert_eq!(consumed.load(Ordering::SeqCst), ITEMS);
     }
 }
