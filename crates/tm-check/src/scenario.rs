@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use tm_api::{TmBackend, TmThread, TxKind};
+use tm_api::{Abort, TmBackend, TmThread, TxKind};
 use txkv::durability::{Append, CrashSite, CrashSpec, DurabilityConfig, DurabilityMode, WalSet};
 use txkv::shard::{apply_part, group_adds, prepare_part, undo_part, ShardPart};
 use txkv::{recover, KvStore, LocalTx, PushError, ShardMap, SubmitQueue, XLock};
@@ -1206,27 +1206,38 @@ def_key! {
 }
 def_row! {
     /// Typed-index workload row: `group` is the indexed column, `moves`
-    /// counts committed group changes (lost-update check).
-    pub struct GroupedRow { group, moves }
+    /// counts committed group changes (lost-update check), and `stamp`
+    /// is [`ti_stamp`] of the two, so a row read from two versions shows.
+    pub struct GroupedRow { group, moves, stamp }
 }
 
 const TI_ROWS_TABLE: Table<u64, GroupedRow> = Table::new(0, "rows");
 const TI_BY_GROUP: Index<GroupKey> = Index::new(1, "rows_by_group", false);
 const TI_GROUP_COL: u64 = 0;
 const TI_MOVES_COL: u64 = 1;
+const TI_STAMP_COL: u64 = 2;
+
+/// The `stamp` column every committed row version carries.
+fn ti_stamp(group: u64, moves: u64) -> u64 {
+    moves * TI_GROUPS + group
+}
 
 /// Typed table + secondary index over one [`KvStore`], driven through
 /// [`txkv_schema`]'s schema layer via [`LocalTx`]: update transactions
 /// move a row to a different group — rewriting the indexed column and
 /// relocating its [`TI_BY_GROUP`] entry in the **same** transaction —
-/// while read-only transactions pick a group and check, inside one
+/// half of them column by column (`read_col`/`write_col`/`update_col`),
+/// half as whole rows (`Table::get`, then `Table::put`: the row-run
+/// paths). Read-only transactions pick a group and check, inside one
 /// snapshot, that the index's members and the base rows agree in both
-/// directions. With `cfg.break_index` the update skips the index move
-/// (the seeded bug), which the snapshot checks and the end-of-run
+/// directions, reading every row whole with `Table::get` and flagging a
+/// torn row (a `stamp` that does not match its `group` and `moves`).
+/// With `cfg.break_index` the update skips the index move (the seeded
+/// bug), which the snapshot checks and the end-of-run
 /// reachability/dangling-entry sweep must catch.
 fn build_typed_index(cfg: &CheckConfig, seed: u64) -> Scenario {
     let total_txns = (cfg.threads * cfg.txns_per_thread) as u64;
-    let mem_words = workloads::btree::memory_words(3 * TI_ROWS + 2 * total_txns + 64);
+    let mem_words = workloads::btree::memory_words(4 * TI_ROWS + 2 * total_txns + 64);
     let backend = make_backend(cfg, mem_words);
     // Seed rows + their index entries, sorted into key order for the
     // bulk build (rows interleave two table-id prefixes).
@@ -1235,6 +1246,7 @@ fn build_typed_index(cfg: &CheckConfig, seed: u64) -> Scenario {
         let g = id % TI_GROUPS;
         seed_pairs.push((TI_ROWS_TABLE.key(TI_PLACE, id, TI_GROUP_COL), g));
         seed_pairs.push((TI_ROWS_TABLE.key(TI_PLACE, id, TI_MOVES_COL), 0));
+        seed_pairs.push((TI_ROWS_TABLE.key(TI_PLACE, id, TI_STAMP_COL), ti_stamp(g, 0)));
         seed_pairs.push((TI_BY_GROUP.key(TI_PLACE, GroupKey { g, id }), id));
     }
     seed_pairs.sort_unstable_by_key(|&(k, _)| k);
@@ -1266,14 +1278,33 @@ fn build_typed_index(cfg: &CheckConfig, seed: u64) -> Scenario {
                     // index entry in one transaction (unless broken).
                     let id = rng.below(TI_ROWS);
                     let hop = 1 + rng.below(TI_GROUPS - 1);
+                    let whole_row = rng.below(2) == 0;
                     let out = thread.exec(TxKind::Update, &mut |tx| {
                         scratch.reset();
                         let mut ltx = LocalTx { store: &store, tx, scratch: &mut scratch };
-                        let old = TI_ROWS_TABLE.read_col(&mut ltx, TI_PLACE, id, TI_GROUP_COL)?;
-                        let new = (old + hop) % TI_GROUPS;
-                        TI_ROWS_TABLE.write_col(&mut ltx, TI_PLACE, id, TI_GROUP_COL, new)?;
-                        TI_ROWS_TABLE
-                            .update_col(&mut ltx, TI_PLACE, id, TI_MOVES_COL, |m| m + 1)?;
+                        let old;
+                        let new;
+                        if whole_row {
+                            let row =
+                                TI_ROWS_TABLE.get(&mut ltx, TI_PLACE, id)?.ok_or(Abort::User)?;
+                            (old, new) = (row.group, (row.group + hop) % TI_GROUPS);
+                            let moves = row.moves + 1;
+                            let row = GroupedRow { group: new, moves, stamp: ti_stamp(new, moves) };
+                            TI_ROWS_TABLE.put(&mut ltx, TI_PLACE, id, &row)?;
+                        } else {
+                            old = TI_ROWS_TABLE.read_col(&mut ltx, TI_PLACE, id, TI_GROUP_COL)?;
+                            new = (old + hop) % TI_GROUPS;
+                            TI_ROWS_TABLE.write_col(&mut ltx, TI_PLACE, id, TI_GROUP_COL, new)?;
+                            let moves = TI_ROWS_TABLE.update_col(
+                                &mut ltx,
+                                TI_PLACE,
+                                id,
+                                TI_MOVES_COL,
+                                |m| m + 1,
+                            )?;
+                            let stamp = ti_stamp(new, moves);
+                            TI_ROWS_TABLE.write_col(&mut ltx, TI_PLACE, id, TI_STAMP_COL, stamp)?;
+                        }
                         if !break_index {
                             TI_BY_GROUP.update(
                                 &mut ltx,
@@ -1311,18 +1342,16 @@ fn build_typed_index(cfg: &CheckConfig, seed: u64) -> Scenario {
                                 members.push(primary);
                             },
                         )?;
-                        for &id in &members {
-                            if TI_ROWS_TABLE.read_col(&mut ltx, TI_PLACE, id, TI_GROUP_COL)? != g {
-                                torn = true;
-                            }
-                        }
                         for id in 0..TI_ROWS {
-                            if TI_ROWS_TABLE.read_col(&mut ltx, TI_PLACE, id, TI_GROUP_COL)? == g
-                                && !members.contains(&id)
-                            {
-                                torn = true;
+                            match TI_ROWS_TABLE.get(&mut ltx, TI_PLACE, id)? {
+                                Some(row) => {
+                                    torn |= row.stamp != ti_stamp(row.group, row.moves);
+                                    torn |= (row.group == g) != members.contains(&id);
+                                }
+                                None => torn = true,
                             }
                         }
+                        torn |= members.iter().any(|&id| id >= TI_ROWS);
                         Ok(())
                     });
                     if out == tm_api::Outcome::Committed && torn {
@@ -1343,7 +1372,8 @@ fn build_typed_index(cfg: &CheckConfig, seed: u64) -> Scenario {
             let broken = broken_reads.load(Ordering::Relaxed);
             if broken > 0 {
                 return Some(format!(
-                    "{broken} committed snapshot(s) saw base rows and index entries disagree"
+                    "{broken} committed snapshot(s) saw a torn row or base rows and index \
+                     entries disagree"
                 ));
             }
             let mem = b2.memory();
@@ -1353,8 +1383,14 @@ fn build_typed_index(cfg: &CheckConfig, seed: u64) -> Scenario {
                     Some(g) => g,
                     None => return Some(format!("row {id} lost its presence column")),
                 };
-                recorded_moves +=
+                let moves =
                     store.load_raw(mem, TI_ROWS_TABLE.key(TI_PLACE, id, TI_MOVES_COL)).unwrap_or(0);
+                recorded_moves += moves;
+                if store.load_raw(mem, TI_ROWS_TABLE.key(TI_PLACE, id, TI_STAMP_COL))
+                    != Some(ti_stamp(g, moves))
+                {
+                    return Some(format!("row {id} is torn: its stamp disagrees with its columns"));
+                }
                 if store.load_raw(mem, TI_BY_GROUP.key(TI_PLACE, GroupKey { g, id })) != Some(id) {
                     return Some(format!(
                         "committed row {id} (group {g}) is unreachable through the index"

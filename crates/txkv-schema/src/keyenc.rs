@@ -24,7 +24,9 @@
 //! * **payload** — the primary-key tuple, packed most-significant field
 //!   first by [`TupleKey::pack`] so tuple lexicographic order survives.
 //! * **col** — the column id, least significant so all columns of a row
-//!   are contiguous and a row scan is a tiny range scan.
+//!   are contiguous keys: `Table::get` is one tiny range scan and a write
+//!   to an existing row is one in-place run (`KvTx::update_run`), each a
+//!   single descent of the B+-tree.
 //!
 //! Strings enter keys through [`pack_str8`]: up to 8 bytes, big-endian,
 //! zero-padded — `memcmp` order, exactly what a length-limited VARCHAR

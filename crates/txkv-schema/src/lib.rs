@@ -201,27 +201,40 @@ impl<K: TupleKey, R: Row> Table<K, R> {
         Ok(tx.get(self.key(place, k, 0))?.is_some())
     }
 
-    /// Read a whole row; `None` if it does not exist.
+    /// Read a whole row; `None` if it does not exist (no column 0).
+    /// Absent other columns read as 0. The row's columns are contiguous
+    /// keys, so this is one ordered scan over `[key(k, 0), key(k, 0) +
+    /// COLS)`: one descent plus the leaf chain, not one lookup per column.
     pub fn get(&self, tx: &mut dyn KvTx, place: u64, k: K) -> Result<Option<R>, Abort> {
-        if !self.exists(tx, place, k)? {
+        let lo = self.key(place, k, 0);
+        let mut cols = [0u64; 1 << COL_BITS];
+        let mut present = false;
+        tx.scan_range(lo, lo + R::COLS, R::COLS, &mut |key, val| {
+            let col = key - lo;
+            present |= col == 0;
+            cols[col as usize] = val;
+        })?;
+        if !present {
             return Ok(None);
         }
-        let payload = k.pack();
-        R::from_cols(&mut |col| Ok(tx.get(encode(place, self.id, payload, col))?.unwrap_or(0)))
-            .map(Some)
+        R::from_cols(&mut |col| Ok(cols[col as usize])).map(Some)
     }
 
-    /// Insert or overwrite a whole row (all columns, column 0 first so
-    /// presence is established even for partially-read rows).
+    /// Insert or overwrite a whole row. An existing row is rewritten in
+    /// place by one [`KvTx::update_run`] over its columns; a row with any
+    /// column absent falls back to one `put` per column, column 0 first
+    /// so presence is established even for partially-read rows.
     pub fn put(&self, tx: &mut dyn KvTx, place: u64, k: K, row: &R) -> Result<(), Abort> {
-        let payload = k.pack();
-        let mut result = Ok(());
-        row.to_cols(&mut |col, val| {
-            if result.is_ok() {
-                result = tx.put(encode(place, self.id, payload, col), val);
-            }
-        });
-        result
+        let lo = self.key(place, k, 0);
+        let mut cols = [0u64; 1 << COL_BITS];
+        row.to_cols(&mut |col, val| cols[col as usize] = val);
+        if tx.update_run(lo, R::COLS, &mut |key, _| cols[(key - lo) as usize])? {
+            return Ok(());
+        }
+        for (col, &val) in cols[..R::COLS as usize].iter().enumerate() {
+            tx.put(lo + col as u64, val)?;
+        }
+        Ok(())
     }
 
     /// Delete a whole row; `true` if it existed.
@@ -239,7 +252,8 @@ impl<K: TupleKey, R: Row> Table<K, R> {
         Ok(tx.get(self.key(place, k, col))?.unwrap_or(0))
     }
 
-    /// Write one column.
+    /// Write one column: in place when it exists (a run of one), an
+    /// insert when it does not.
     pub fn write_col(
         &self,
         tx: &mut dyn KvTx,
@@ -248,21 +262,34 @@ impl<K: TupleKey, R: Row> Table<K, R> {
         col: u64,
         val: u64,
     ) -> Result<(), Abort> {
-        tx.put(self.key(place, k, col), val)
+        let key = self.key(place, k, col);
+        if !tx.update_run(key, 1, &mut |_, _| val)? {
+            tx.put(key, val)?;
+        }
+        Ok(())
     }
 
-    /// Read-modify-write one column; returns the new value.
+    /// Read-modify-write one column; returns the new value. An existing
+    /// column is read and rewritten by one [`KvTx::update_run`] of one
+    /// key (one descent, not a lookup plus an insert). Otherwise it is a
+    /// `get` (absent reads as 0) and a `put`, which inserts.
     pub fn update_col(
         &self,
         tx: &mut dyn KvTx,
         place: u64,
         k: K,
         col: u64,
-        f: impl FnOnce(u64) -> u64,
+        mut f: impl FnMut(u64) -> u64,
     ) -> Result<u64, Abort> {
         let key = self.key(place, k, col);
-        let new = f(tx.get(key)?.unwrap_or(0));
-        tx.put(key, new)?;
+        let mut new = 0;
+        if !tx.update_run(key, 1, &mut |_, old| {
+            new = f(old);
+            new
+        })? {
+            new = f(tx.get(key)?.unwrap_or(0));
+            tx.put(key, new)?;
+        }
         Ok(new)
     }
 

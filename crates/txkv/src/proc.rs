@@ -60,6 +60,22 @@ pub trait KvTx {
         limit: u64,
         f: &mut dyn FnMut(u64, u64),
     ) -> Result<u64, Abort>;
+    /// Read-modify-write the run of present keys `[from, from + n)` in
+    /// place: `f(key, old)` gives each new value, in key order. Returns
+    /// `false`, having written nothing and called `f` never, when any key
+    /// of the run is absent; the caller then falls back to per-key
+    /// [`put`](KvTx::put)s. On capturing contexts the images are exactly
+    /// those of the equivalent `put`s. The default is "not done": it
+    /// returns `false`, so every caller takes its per-key path.
+    fn update_run(
+        &mut self,
+        from: u64,
+        n: u64,
+        f: &mut dyn FnMut(u64, u64) -> u64,
+    ) -> Result<bool, Abort> {
+        let _ = (from, n, f);
+        Ok(false)
+    }
     /// Whether `key` is readable/writable in this leg. Single-shard and
     /// embedded contexts own everything; a cross-shard leg owns its
     /// shard's keys plus the replicated prefix (read-only).
@@ -154,7 +170,8 @@ impl std::fmt::Debug for ProcRegistry {
 
 /// The execution context the pipeline hands a procedure leg: the shard's
 /// store and transaction, plus optional pre-/post-image capture. Built
-/// only by the pipeline (and [`LocalTx::ctx`] for embedded use).
+/// by the pipeline; [`ProcCtx::new`] is public so tests can drive a
+/// capturing context inside a plain transaction.
 pub struct ProcCtx<'a> {
     store: &'a KvStore,
     tx: &'a mut dyn Tx,
@@ -173,7 +190,7 @@ pub struct ProcCtx<'a> {
 
 impl<'a> ProcCtx<'a> {
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
+    pub fn new(
         store: &'a KvStore,
         tx: &'a mut dyn Tx,
         scratch: &'a mut NodeScratch,
@@ -241,6 +258,36 @@ impl KvTx for ProcCtx<'_> {
         self.store.scan_range_entries_in(self.tx, from, to, limit, f)
     }
 
+    /// The same images `put` captures, taken from the slots the run
+    /// overwrites instead of a second lookup: pre-image first-write-wins,
+    /// post-image per key in key order.
+    fn update_run(
+        &mut self,
+        from: u64,
+        n: u64,
+        f: &mut dyn FnMut(u64, u64) -> u64,
+    ) -> Result<bool, Abort> {
+        debug_assert!(
+            n == 0 || (self.is_local(from) && self.is_local(from + (n - 1))),
+            "leg on shard {} wrote a foreign run at {from:#x}",
+            self.shard
+        );
+        debug_assert!(from >= self.replicated_below, "procedure wrote replicated key {from:#x}");
+        let (mut undo, mut writes) = (self.undo.as_deref_mut(), self.writes.as_deref_mut());
+        self.store.update_run_in(self.tx, from, n, &mut |key, old| {
+            let new = f(key, old);
+            if let Some(undo) = undo.as_deref_mut() {
+                if !undo.iter().any(|&(k, _)| k == key) {
+                    undo.push((key, Some(old)));
+                }
+            }
+            if let Some(writes) = writes.as_deref_mut() {
+                writes.push((key, Some(new)));
+            }
+            new
+        })
+    }
+
     fn is_local(&self, key: u64) -> bool {
         if self.single || key < self.replicated_below {
             return true;
@@ -283,6 +330,15 @@ impl KvTx for LocalTx<'_> {
         f: &mut dyn FnMut(u64, u64),
     ) -> Result<u64, Abort> {
         self.store.scan_range_entries_in(self.tx, from, to, limit, f)
+    }
+
+    fn update_run(
+        &mut self,
+        from: u64,
+        n: u64,
+        f: &mut dyn FnMut(u64, u64) -> u64,
+    ) -> Result<bool, Abort> {
+        self.store.update_run_in(self.tx, from, n, f)
     }
 
     fn is_local(&self, _key: u64) -> bool {

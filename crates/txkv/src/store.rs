@@ -137,6 +137,20 @@ impl KvStore {
         self.tree.insert(tx, key, val, scratch)
     }
 
+    /// Read-modify-write the run of present keys `[from, from + n)` in
+    /// place, with one descent plus the leaf chain: `f(key, old)` gives
+    /// each new value, in key order. `false`, with nothing written, when
+    /// any key of the run is absent ([`TxBTree::update_run`]).
+    pub fn update_run_in(
+        &self,
+        tx: &mut dyn Tx,
+        from: u64,
+        n: u64,
+        f: &mut dyn FnMut(u64, u64) -> u64,
+    ) -> Result<bool, Abort> {
+        self.tree.update_run(tx, from, n, f)
+    }
+
     /// Remove; `true` when the key existed.
     pub fn delete_in(&self, tx: &mut dyn Tx, key: u64) -> Result<bool, Abort> {
         self.tree.remove(tx, key)

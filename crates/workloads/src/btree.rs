@@ -468,6 +468,72 @@ impl TxBTree {
         Ok(n)
     }
 
+    /// In-place read-modify-write of the run of `n` consecutive keys
+    /// `[from, from + n)`: one descent to the leaf that would hold `from`,
+    /// then the leaf chain. The whole run is checked first; if any key is
+    /// absent nothing is written, `f` is never called, and the result is
+    /// `false`. Otherwise `f(key, old)` gives each key's new value, called
+    /// in key order, and the result is `true`. Only value slots change —
+    /// the same words [`insert`](Self::insert) overwrites for a present
+    /// key — so no node splits and no scratch.
+    pub fn update_run(
+        &self,
+        tx: &mut dyn Tx,
+        from: u64,
+        n: u64,
+        f: &mut dyn FnMut(u64, u64) -> u64,
+    ) -> Result<bool, Abort> {
+        if n == 0 {
+            return Ok(true);
+        }
+        let last = from + (n - 1);
+        let mut node = tx.read(self.root_ptr)?;
+        loop {
+            let (leaf, count) = unpack_header(tx.read(node + H_HEADER)?);
+            if leaf {
+                break;
+            }
+            let idx = self.child_index(tx, node, count, from)?;
+            node = tx.read(node + H_CHILDREN + idx)?;
+        }
+        // Pass 1: every key of the run, in order and without gaps.
+        let mut start = None;
+        let mut found = 0;
+        'chain: while node != NIL {
+            let (_, count) = unpack_header(tx.read(node + H_HEADER)?);
+            for i in 0..count {
+                let k = tx.read(node + H_KEYS + i)?;
+                if k < from {
+                    continue;
+                }
+                if k != from + found {
+                    return Ok(false);
+                }
+                start.get_or_insert((node, i, count));
+                found += 1;
+                if found == n {
+                    break 'chain;
+                }
+            }
+            node = tx.read(node + H_NEXT)?;
+        }
+        let Some((mut node, mut pos, mut count)) = start.filter(|_| found == n) else {
+            return Ok(false);
+        };
+        // Pass 2: rewrite the value slots pass 1 found.
+        for key in from..=last {
+            while pos == count {
+                node = tx.read(node + H_NEXT)?;
+                count = unpack_header(tx.read(node + H_HEADER)?).1;
+                pos = 0;
+            }
+            let old = tx.read(node + H_VALS + pos)?;
+            tx.write(node + H_VALS + pos, f(key, old))?;
+            pos += 1;
+        }
+        Ok(true)
+    }
+
     /// Transactional whole-tree walk in key order: `f(key, value)` per
     /// entry, along the leaf chain. The read footprint is the entire
     /// tree — on SI-HTM this runs on the unbounded, never-aborting

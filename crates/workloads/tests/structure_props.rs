@@ -19,6 +19,44 @@ enum MapOp {
     Range(u64, u64),
 }
 
+/// A B+-tree alone in its own simulated memory, with one thread on it.
+struct Twin {
+    backend: SiHtm,
+    thread: <SiHtm as TmBackend>::Thread,
+    alloc: LineAlloc,
+    tree: TxBTree,
+    scratch: NodeScratch,
+}
+
+impl Twin {
+    fn new(words: usize) -> Twin {
+        let backend = SiHtm::with_defaults(words);
+        let alloc = LineAlloc::new(0, words as u64);
+        let tree = TxBTree::build(backend.memory(), &alloc, 0..0);
+        let scratch = NodeScratch::new(&alloc);
+        Twin { thread: backend.register_thread(), backend, alloc, tree, scratch }
+    }
+
+    fn insert(&mut self, k: u64, v: u64) {
+        let (tree, scratch) = (self.tree, &mut self.scratch);
+        self.thread.exec(TxKind::Update, &mut |tx| {
+            scratch.reset();
+            tree.insert(tx, k, v, scratch).map(|_| ())
+        });
+        self.scratch.refill(&self.alloc);
+    }
+
+    fn remove(&mut self, k: u64) {
+        let tree = self.tree;
+        self.thread.exec(TxKind::Update, &mut |tx| tree.remove(tx, k).map(|_| ()));
+    }
+
+    fn words(&self) -> Vec<u64> {
+        let mem = self.backend.memory();
+        (0..mem.len() as u64).map(|a| mem.load(a)).collect()
+    }
+}
+
 fn op_strategy(key_space: u64) -> impl Strategy<Value = MapOp> {
     let key = 1..=key_space;
     prop_oneof![
@@ -88,6 +126,74 @@ proptest! {
         let keys = tree.audit(backend.memory());
         let expect: Vec<u64> = model.keys().copied().collect();
         prop_assert_eq!(keys, expect);
+    }
+
+    /// `update_run` is a per-key overwrite done in one descent. Twin trees
+    /// are built by the same random inserts and removes (removes leave
+    /// holes and underfull or empty leaves); then each run goes to one
+    /// twin as `update_run` and to the other as per-key `insert`s of the
+    /// same new values. A run with every key present must leave the two
+    /// memories word-for-word equal, having called its closure once per
+    /// key in order with the old value. A run with a hole must return
+    /// `false`, never call the closure, and change no word. The audit
+    /// holds at the end.
+    #[test]
+    fn btree_update_run_matches_per_key_inserts(
+        inserts in proptest::collection::vec(1..=160u64, 1..400),
+        removes in proptest::collection::vec(1..=160u64, 0..24),
+        runs in proptest::collection::vec((1..=170u64, 1..=48u64, any::<u64>()), 1..16),
+    ) {
+        let words = memory_words(512);
+        let (mut run, mut reference) = (Twin::new(words), Twin::new(words));
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        for &k in &inserts {
+            run.insert(k, k);
+            reference.insert(k, k);
+            model.insert(k, k);
+        }
+        for &k in &removes {
+            run.remove(k);
+            reference.remove(k);
+            model.remove(&k);
+        }
+        for &(from, n, salt) in &runs {
+            let new_val = |key: u64, old: u64| old ^ salt.wrapping_mul(key);
+            let before = run.words();
+            let mut calls = Vec::new();
+            let mut done = false;
+            let tree = run.tree;
+            run.thread.exec(TxKind::Update, &mut |tx| {
+                calls.clear();
+                done = tree.update_run(tx, from, n, &mut |key, old| {
+                    calls.push((key, old));
+                    new_val(key, old)
+                })?;
+                Ok(())
+            });
+            let olds: Option<Vec<(u64, u64)>> =
+                (from..from + n).map(|k| model.get(&k).map(|&v| (k, v))).collect();
+            match olds {
+                Some(olds) => {
+                    prop_assert!(done, "run [{from}, {}) is present", from + n);
+                    prop_assert_eq!(&calls, &olds);
+                    for (k, old) in olds {
+                        reference.insert(k, new_val(k, old));
+                        model.insert(k, new_val(k, old));
+                    }
+                    prop_assert!(run.words() == reference.words(), "run != per-key inserts");
+                }
+                None => {
+                    prop_assert!(!done, "run [{from}, {}) has a hole", from + n);
+                    prop_assert!(calls.is_empty());
+                    prop_assert!(run.words() == before, "a refused run wrote memory");
+                }
+            }
+        }
+        let keys = run.tree.audit(run.backend.memory());
+        prop_assert_eq!(keys, model.keys().copied().collect::<Vec<_>>());
+        for (&k, &v) in &model {
+            prop_assert_eq!(run.tree.lookup_raw(run.backend.memory(), k), Some(v));
+        }
     }
 
     /// The hash map agrees with `BTreeMap` over random insert/remove/lookup
