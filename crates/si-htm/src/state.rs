@@ -226,7 +226,9 @@ mod tests {
         assert!(st.all_inactive_except(0));
     }
 
+    // `set_active`'s check is a `debug_assert!`: release builds skip it.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic]
     fn reserved_timestamps_rejected_in_debug() {
         let st = StateArray::new(1);

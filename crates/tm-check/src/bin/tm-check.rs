@@ -68,7 +68,8 @@ OPTIONS:
     --fault-access N    forced-abort probability at accesses, per mille
     --fault-commit N    forced-abort probability at commit, per mille
     --break-si          disable SI-HTM's quiescence wait (seeded bug)
-    --break-2pc         crash the xshard 2PC coordinator mid-apply (seeded bug)
+    --break-2pc         run the 2PC coordinator over one leg of two
+                        (xshard, recovery; seeded bug)
     --break-index       skip typed-index secondary-index maintenance (seeded bug)
     --expect-violation  exit 0 iff a violation IS found (CI negative test)
     --out FILE          write the shrunk failing schedule here

@@ -17,9 +17,9 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use tm_api::{Abort, TmBackend, TmThread, TxKind};
+use tm_api::{Abort, TmBackend, TmThread, TwoPcStats, TxKind};
 use txkv::durability::{Append, CrashSite, CrashSpec, DurabilityConfig, DurabilityMode, WalSet};
-use txkv::shard::{apply_part, group_adds, prepare_part, undo_part, ShardPart};
+use txkv::shard::{coordinate, group_adds, Leg, Participants, ShardPart, XOutcome};
 use txkv::{recover, KvStore, LocalTx, PushError, ShardMap, SubmitQueue, XLock};
 use txkv_schema::{def_key, def_row, Index, Table};
 use txmem::hooks::{self, Event};
@@ -142,10 +142,10 @@ pub struct CheckConfig {
     /// Seeded bug: disable SI-HTM's pre-commit quiescence ("the safety
     /// wait"), which tm-check must expose as an SI violation.
     pub break_si: bool,
-    /// Seeded bug: the xshard coordinator "crashes" between its two
-    /// participant applies — the second apply never runs and no
-    /// compensation fires. tm-check must catch the half-applied
-    /// transfer (torn audit or broken conservation).
+    /// Seeded bug, for the xshard and recovery workloads: the 2PC
+    /// coordinator is handed only the first of a transfer's two legs —
+    /// the second never runs and nothing rolls back. tm-check must catch
+    /// the half-applied transfer (torn audit or broken conservation).
     pub break_2pc: bool,
     /// Seeded bug: the typed-index workload skips secondary-index
     /// maintenance when moving a row between groups (base write only).
@@ -673,6 +673,61 @@ fn build_txkv(cfg: &CheckConfig, seed: u64) -> Scenario {
 /// `[0, XKV_PER_SHARD)`, shard 1 owns `[XKV_PER_SHARD, 2*XKV_PER_SHARD)`).
 const XKV_PER_SHARD: u64 = 4;
 
+/// One thread's view of the two shards of the xshard and recovery
+/// scenarios: what [`coordinate`] reaches its participants through.
+struct Shards<'a> {
+    map: &'a ShardMap,
+    backends: &'a [AnyBackend; 2],
+    stores: &'a [KvStore; 2],
+    threads: &'a mut [Box<dyn TmThread + Send>; 2],
+    scratches: &'a mut [NodeScratch; 2],
+    xlocks: &'a [XLock; 2],
+}
+
+impl<'a> Participants<'a> for Shards<'a> {
+    fn part(&mut self, s: usize) -> ShardPart<'_> {
+        ShardPart {
+            store: &self.stores[s],
+            thread: &mut *self.threads[s],
+            scratch: &mut self.scratches[s],
+        }
+    }
+
+    fn reset(&mut self, s: usize) {
+        self.threads[s] = self.backends[s].register();
+        self.scratches[s] = self.stores[s].new_batch_scratch(2);
+    }
+
+    fn xlock(&self, s: usize) -> &'a XLock {
+        &self.xlocks[s]
+    }
+}
+
+/// Move `amount` from `from` (one shard) to `to` (the other) through the
+/// service's 2PC coordinator. With `break_2pc` — the seeded bug — the
+/// coordinator is handed leg 0 only: the other shard never applies and
+/// nothing rolls back.
+fn xtransfer(
+    shards: &mut Shards<'_>,
+    from: u64,
+    to: u64,
+    amount: u64,
+    wal: Option<&WalSet>,
+    break_2pc: bool,
+) {
+    let deltas = [(from, -(amount as i64)), (to, amount as i64)];
+    let legs: Vec<Leg<'_>> =
+        group_adds(shards.map, &[0, 1], &deltas).into_iter().map(Leg::Update).collect();
+    let n = if break_2pc { 1 } else { 2 };
+    let out = coordinate(shards, &[0, 1][..n], &legs[..n], wal, &mut TwoPcStats::default());
+    // These scenarios inject no panics, so only a dead log may fail a
+    // transfer: the rollback must not hide a leg that unwound on a bug.
+    assert!(
+        !matches!(out, XOutcome::Failed { .. }) || wal.is_some_and(|w| !w.alive()),
+        "cross-shard transfer failed with its log alive: {out:?}"
+    );
+}
+
 /// Cross-shard 2PC scenario: two *independent* backend instances, one per
 /// shard, each with its own memory, conflict directory, and quiescence
 /// domain — the scale-out shape `txkv::Pipeline::start_sharded` deploys.
@@ -693,9 +748,11 @@ const XKV_PER_SHARD: u64 = 4;
 /// which is exactly the property the 2PC protocol — not any backend —
 /// must provide.
 ///
-/// With `cfg.break_2pc` the coordinator "crashes" between its two
-/// participant applies (no second apply, no compensation), and the
-/// checker must flag the half-applied transfer.
+/// Cross-shard transfers run through [`coordinate`], the pipeline's own
+/// coordinator, so the checker explores the protocol that serves
+/// traffic. With `cfg.break_2pc` the coordinator gets leg 0 only (no
+/// second leg, no rollback), and the checker must flag the half-applied
+/// transfer.
 fn build_xshard(cfg: &CheckConfig, seed: u64) -> Scenario {
     let span = round_up_to_line(workloads::btree::memory_words(64) as u64);
     let shard0 = make_backend(cfg, 2 * span as usize);
@@ -720,6 +777,7 @@ fn build_xshard(cfg: &CheckConfig, seed: u64) -> Scenario {
     let mut bodies: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
     for tid in 0..cfg.threads {
         let mut threads = [shard0.register(), shard1.register()];
+        let backends = [shard0.clone(), shard1.clone()];
         let stores = [store0.clone(), store1.clone()];
         let xlocks = Arc::clone(&xlocks);
         let broken = Arc::clone(&broken_audits);
@@ -752,42 +810,15 @@ fn build_xshard(cfg: &CheckConfig, seed: u64) -> Scenario {
                     let from = debit as u64 * XKV_PER_SHARD + rng.below(XKV_PER_SHARD);
                     let to = (1 - debit) as u64 * XKV_PER_SHARD + rng.below(XKV_PER_SHARD);
                     let amount = 1 + rng.below(10);
-                    let ups =
-                        group_adds(&map, &[0, 1], &[(from, -(amount as i64)), (to, amount as i64)]);
-                    let _g0 = xlocks[0].lock();
-                    let _g1 = xlocks[1].lock();
-                    let mut undos = Vec::with_capacity(2);
-                    for (pi, upd) in ups.iter().enumerate() {
-                        let mut part = ShardPart {
-                            store: &stores[pi],
-                            thread: &mut *threads[pi],
-                            scratch: &mut scratches[pi],
-                        };
-                        undos.push(prepare_part(&mut part, upd));
-                    }
-                    debug_assert_eq!(undos.len(), 2);
-                    // The prepare → apply seam: the crash window the
-                    // atomicity invariants aim at.
-                    hooks::emit(Event::Poll);
-                    let mut escalated = false;
-                    for (pi, upd) in ups.iter().enumerate() {
-                        if break_2pc && pi == 1 {
-                            // Seeded bug: coordinator "crash" after the
-                            // first apply — participant 1 never applies
-                            // and no compensation runs, leaking a
-                            // half-applied transfer.
-                            break;
-                        }
-                        let mut part = ShardPart {
-                            store: &stores[pi],
-                            thread: &mut *threads[pi],
-                            scratch: &mut scratches[pi],
-                        };
-                        let mut writes = Vec::new(); // post-image scratch (not logging)
-                        if apply_part(&mut part, upd, escalated, &mut writes) {
-                            escalated = true;
-                        }
-                    }
+                    let mut shards = Shards {
+                        map: &map,
+                        backends: &backends,
+                        stores: &stores,
+                        threads: &mut threads,
+                        scratches: &mut scratches,
+                        xlocks: &xlocks,
+                    };
+                    xtransfer(&mut shards, from, to, amount, None, break_2pc);
                 } else {
                     // Global audit under both locks (no half-applied
                     // cross-shard transfer can be visible): one read-only
@@ -857,9 +888,10 @@ const RKV_PER_SHARD: u64 = RKV_ACCOUNTS + RKV_COUNTERS;
 
 /// Durability scenario: the xshard two-backend shape with a live
 /// [`WalSet`] wired through the full commit-ordered logging protocol —
-/// the same record sequences `txkv::Pipeline` writes, driven under the
-/// cooperative scheduler so the crash lands at a *schedule-dependent*
-/// point inside the protocol seams.
+/// the record sequences `txkv::Pipeline` writes, cross-shard ones from
+/// the same [`coordinate`] — driven under the cooperative scheduler so
+/// the crash lands at a *schedule-dependent* point inside the protocol
+/// seams.
 ///
 /// Each thread mixes:
 /// * shard-local conserving transfers logged as post-image `Write`
@@ -867,9 +899,10 @@ const RKV_PER_SHARD: u64 = RKV_ACCOUNTS + RKV_COUNTERS;
 ///   backend transaction committed — the DUMBO discipline);
 /// * monotone counter puts, sync-acked only once the flush reports the
 ///   record durable (the acked value is what recovery must preserve);
-/// * cross-shard 2PC transfers writing the durable-prepare / apply /
-///   decide record protocol, with in-memory compensation + `XAbort` when
-///   the power cut lands mid-transaction;
+/// * cross-shard 2PC transfers through [`coordinate`], writing the
+///   per-leg `XBegin` + `XApply` / decide record protocol, with an
+///   in-memory rollback + `XAbort` when the power cut lands
+///   mid-transaction;
 /// * locked global audits (read-only; never touch the WAL).
 ///
 /// The seed scripts a [`CrashSpec`] — site and countdown both derived
@@ -878,7 +911,7 @@ const RKV_PER_SHARD: u64 = RKV_ACCOUNTS + RKV_COUNTERS;
 /// dies. End-of-run invariants recover from the surviving logs into
 /// fresh backends and require: no torn audit, live + recovered
 /// conservation, and every sync-acked write present (exactly equal when
-/// no crash tripped).
+/// no crash tripped). `cfg.break_2pc` seeds the xshard bug here too.
 fn build_recovery(cfg: &CheckConfig, seed: u64) -> Scenario {
     let span = round_up_to_line(workloads::btree::memory_words(64) as u64);
     let shard0 = make_backend(cfg, 2 * span as usize);
@@ -898,6 +931,7 @@ fn build_recovery(cfg: &CheckConfig, seed: u64) -> Scenario {
     let expected_total = 2 * RKV_ACCOUNTS * KV_INITIAL;
     let xlocks = Arc::new([XLock::new(), XLock::new()]);
     let broken_audits = Arc::new(AtomicU64::new(0));
+    let break_2pc = cfg.break_2pc;
     // Highest sync-acked value per counter key (what recovery owes us).
     let acked = Arc::new(Mutex::new(HashMap::<u64, u64>::new()));
 
@@ -934,6 +968,7 @@ fn build_recovery(cfg: &CheckConfig, seed: u64) -> Scenario {
     let mut bodies: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
     for tid in 0..cfg.threads {
         let mut threads = [shard0.register(), shard1.register()];
+        let backends = [shard0.clone(), shard1.clone()];
         let stores = [store0.clone(), store1.clone()];
         let xlocks = Arc::clone(&xlocks);
         let broken = Arc::clone(&broken_audits);
@@ -992,109 +1027,21 @@ fn build_recovery(cfg: &CheckConfig, seed: u64) -> Scenario {
                         }
                     }
                 } else if dice < 8 {
-                    // Cross-shard 2PC transfer with the full durable
-                    // record protocol (the pipeline's sequence).
+                    // Cross-shard 2PC transfer through the pipeline's own
+                    // coordinator, with its full durable record protocol.
                     let debit = rng.below(2) as usize;
                     let from = debit as u64 * RKV_PER_SHARD + rng.below(RKV_ACCOUNTS);
                     let to = (1 - debit) as u64 * RKV_PER_SHARD + rng.below(RKV_ACCOUNTS);
                     let amount = 1 + rng.below(10);
-                    let ups =
-                        group_adds(&map, &[0, 1], &[(from, -(amount as i64)), (to, amount as i64)]);
-                    let _g0 = xlocks[0].lock();
-                    let _g1 = xlocks[1].lock();
-                    let mut undos = Vec::with_capacity(2);
-                    for (pi, upd) in ups.iter().enumerate() {
-                        let mut part = ShardPart {
-                            store: &stores[pi],
-                            thread: &mut *threads[pi],
-                            scratch: &mut scratches[pi],
-                        };
-                        undos.push(prepare_part(&mut part, upd));
-                    }
-                    let xid = wal.next_xid();
-                    // Durable prepare: every participant's XBegin on disk
-                    // before any apply (recovery can always compensate).
-                    let mut dead = false;
-                    for pi in 0..2 {
-                        let cl = wal.commit_lock(pi);
-                        let r = wal.append(
-                            pi,
-                            Append::XBegin { xid, parts: &[0, 1], upd: &ups[pi], undo: &undos[pi] },
-                        );
-                        drop(cl);
-                        if r.is_err() || wal.flush(pi).is_err() {
-                            dead = true;
-                            break;
-                        }
-                    }
-                    if dead {
-                        continue; // nothing applied: presumed abort is free
-                    }
-                    wal.crash_point(CrashSite::AfterPrepare);
-                    // The prepare → apply seam: the crash window the
-                    // recovery resolution aims at.
-                    hooks::emit(Event::Poll);
-                    let mut applied = 0usize;
-                    let mut escalated = false;
-                    for (pi, upd) in ups.iter().enumerate() {
-                        let cl = wal.commit_lock(pi);
-                        let mut part = ShardPart {
-                            store: &stores[pi],
-                            thread: &mut *threads[pi],
-                            scratch: &mut scratches[pi],
-                        };
-                        writes.clear();
-                        if apply_part(&mut part, upd, escalated, &mut writes) {
-                            escalated = true;
-                        }
-                        applied = pi + 1;
-                        let r = wal.append(pi, Append::XApply { xid, writes: &writes });
-                        drop(cl);
-                        if r.is_err() || wal.flush(pi).is_err() {
-                            dead = true;
-                            break;
-                        }
-                        wal.crash_point(CrashSite::AfterApply);
-                    }
-                    let mut decided = false;
-                    if !dead {
-                        for pi in 0..2 {
-                            let cl = wal.commit_lock(pi);
-                            let r = wal.append(pi, Append::XDecide { xid });
-                            drop(cl);
-                            let durable = r.is_ok() && wal.flush(pi).is_ok();
-                            if durable {
-                                decided = true; // first durable decision commits
-                            } else if decided {
-                                break; // already committed; rest is best-effort
-                            } else {
-                                dead = true;
-                                break;
-                            }
-                        }
-                        if decided {
-                            wal.crash_point(CrashSite::AfterDecision);
-                        }
-                    }
-                    if dead && !decided {
-                        // Presumed abort: compensate the applied parts in
-                        // memory (the locked audits must never see a
-                        // half-applied transfer) and log the rollback as
-                        // one atomic XAbort record, mirroring recovery.
-                        for pi in 0..applied {
-                            let cl = wal.commit_lock(pi);
-                            let mut part = ShardPart {
-                                store: &stores[pi],
-                                thread: &mut *threads[pi],
-                                scratch: &mut scratches[pi],
-                            };
-                            writes.clear();
-                            undo_part(&mut part, &ups[pi], &undos[pi], &mut writes);
-                            let _ = wal.append(pi, Append::XAbort { xid, writes: &writes });
-                            drop(cl);
-                            let _ = wal.flush(pi);
-                        }
-                    }
+                    let mut shards = Shards {
+                        map: &map,
+                        backends: &backends,
+                        stores: &stores,
+                        threads: &mut threads,
+                        scratches: &mut scratches,
+                        xlocks: &xlocks,
+                    };
+                    xtransfer(&mut shards, from, to, amount, Some(&wal), break_2pc);
                 } else {
                     // Global audit under both locks: the read-only lane,
                     // which never touches the WAL (DUMBO discipline).

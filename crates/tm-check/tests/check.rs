@@ -149,35 +149,40 @@ fn xshard_is_deterministic_and_replayable() {
     }
 }
 
-/// The 2PC acceptance test: a coordinator that "crashes" between its two
-/// participant applies must be caught — by a locked global audit or by
-/// end-of-run conservation. Cross-shard atomicity comes from the
-/// protocol, not from any backend, so the seeded bug must be detected on
-/// all four.
+/// The 2PC acceptance test: a coordinator handed one leg of a transfer's
+/// two must be caught — by a locked global audit or by end-of-run
+/// conservation — in the log-free xshard scenario and in the durable
+/// recovery one. Cross-shard atomicity comes from the protocol, not from
+/// any backend, so the seeded bug must be detected on all four.
 #[test]
 fn break_2pc_is_detected_on_every_backend() {
-    for &backend in &BackendKind::ALL {
-        let c = CheckConfig { break_2pc: true, ..cfg(backend, WorkloadKind::XShard) };
-        let mut found = None;
-        for seed in 0..50 {
-            if let Err(f) = check_seed(&c, seed) {
-                found = Some(f);
-                break;
+    for workload in [WorkloadKind::XShard, WorkloadKind::Recovery] {
+        for &backend in &BackendKind::ALL {
+            let c = CheckConfig { break_2pc: true, ..cfg(backend, workload) };
+            let mut found = None;
+            for seed in 0..50 {
+                if let Err(f) = check_seed(&c, seed) {
+                    found = Some(f);
+                    break;
+                }
             }
+            let f = found.unwrap_or_else(|| {
+                panic!(
+                    "{} x {}: a broken 2PC coordinator must leak a half-applied transfer \
+                     within 50 seeds",
+                    backend.name(),
+                    workload.name()
+                )
+            });
+            assert!(
+                f.message.contains("conserved") || f.message.contains("torn"),
+                "{} x {}: unexpected verdict: {}",
+                backend.name(),
+                workload.name(),
+                f.message
+            );
+            assert!(f.shrunk_trace_len <= f.original_trace_len);
         }
-        let f = found.unwrap_or_else(|| {
-            panic!(
-                "{}: a crashed 2PC coordinator must leak a half-applied transfer within 50 seeds",
-                backend.name()
-            )
-        });
-        assert!(
-            f.message.contains("conserved") || f.message.contains("torn"),
-            "{}: unexpected verdict: {}",
-            backend.name(),
-            f.message
-        );
-        assert!(f.shrunk_trace_len <= f.original_trace_len);
     }
 }
 

@@ -12,10 +12,12 @@
 //! The live protocol orders its records so that recovery can decide any
 //! in-flight cross-shard transaction from the logs alone:
 //!
-//! 1. `XBegin` (participant set + undo image) is durable on a
-//!    participant before that participant applies;
-//! 2. every participant's `XApply` (post-image) is durable before any
-//!    `XDecide` is written;
+//! 1. a participant's `XBegin` (participant set + undo image) and
+//!    `XApply` (post-image) are appended together, `XBegin` first, and
+//!    flushed as one group commit — so a surviving `XApply` always has
+//!    its `XBegin` ahead of it in the same log;
+//! 2. every participant's `XApply` is durable before any `XDecide` is
+//!    written;
 //! 3. the client is acked only after an `XDecide` is durable.
 //!
 //! So: an `XDecide` in **any** participant's log proves every
@@ -29,7 +31,9 @@
 //! shard's part as compensated by the live coordinator and carries the
 //! compensation post-image in the same atomic record, so recovery
 //! replays it and skips compensating *that shard* — other participants
-//! whose own `XAbort` didn't reach disk are still compensated here.
+//! whose own `XAbort` didn't reach disk are still compensated here. A
+//! degraded shard still takes the `XAbort`, behind the leg's retained
+//! frames, so a rejoin never makes a leg durable without its rollback.
 //!
 //! Recovery ends by writing a fresh checkpoint per shard and pruning
 //! the replayed segments, so the next [`super::WalSet::open`] starts
@@ -226,10 +230,10 @@ pub fn recover<B: TmBackend>(
     Ok((domains, report))
 }
 
-/// Undo one applied participant's part, mirroring the live
-/// [`crate::shard::undo_part`] semantics: `Add` parts undo in delta form
-/// (commutes with later logged local adds), `Put` parts restore the
-/// prepare-time image (admissible for blind writes).
+/// Undo one applied participant's part, mirroring the live rollback in
+/// [`crate::shard::coordinate`]: `Add` parts undo in delta form
+/// (commutes with later logged local adds), `Put` parts — and call legs,
+/// logged as an empty `Put` — restore the leg's pre-image.
 fn compensate(state: &mut BTreeMap<u64, u64>, upd: &XUpdate, undo: &UndoImage) {
     match upd {
         XUpdate::Add(deltas) => {

@@ -43,6 +43,9 @@
 //! watermark). A probe-write loop ([`WalSet::probe`]) rejoins the shard
 //! once the medium heals, first flushing any frames retained while
 //! degraded so the durable state converges back to what reads observed.
+//! The one record a degraded shard still takes is a 2PC rollback's
+//! `XAbort`, which must land behind the retained frames of the leg it
+//! undoes.
 //!
 //! ## Simulated power failure
 //!
@@ -106,11 +109,13 @@ pub enum CrashSite {
     /// final record: the torn-tail artifact recovery must detect by
     /// checksum and drop.
     TornTail,
-    /// 2PC: after every participant's `XBegin` is durable, before any
-    /// apply. Recovery must presume abort.
+    /// 2PC: after a leg's `XBegin` is durable, before the decision.
+    /// Recovery must presume abort. A leg appends its `XBegin` and
+    /// `XApply` together, so this site and [`CrashSite::AfterApply`] arm
+    /// on the same per-leg flush.
     AfterPrepare,
-    /// 2PC: after at least one participant's `XApply` is durable, before
-    /// the decision. Recovery must compensate the applied participants.
+    /// 2PC: after a leg's `XApply` is durable, before the decision.
+    /// Recovery must compensate the applied participants.
     AfterApply,
     /// 2PC: after the decision is durable on at least one participant.
     /// Recovery must commit the transaction on *all* participants.
@@ -494,11 +499,17 @@ impl WalSet {
 
     /// Append one record to shard `s`'s buffer (not yet durable) and
     /// return its LSN. Call under the shard's commit lock.
+    ///
+    /// A degraded shard refuses every record but `XAbort`. A 2PC leg whose
+    /// flush failed left its `XBegin`/`XApply` retained in the buffer for
+    /// the rejoin probe; its rollback's `XAbort` must land behind them, or
+    /// the rejoin would make the leg durable without its rollback and
+    /// recovery would undo it a second time, on top of later acked writes.
     pub fn append(&self, s: usize, what: Append<'_>) -> Result<u64, WalError> {
         if !self.alive() {
             return Err(WalError::Dead);
         }
-        if !self.health(s).writable() {
+        if !self.health(s).writable() && !matches!(what, Append::XAbort { .. }) {
             return Err(WalError::Unavailable);
         }
         let mut w = self.shards[s].inner.lock().unwrap();

@@ -93,7 +93,7 @@ pub use durability::{
     StorageErrorKind, WalError, WalSet,
 };
 pub use pipeline::{ClassLat, KvClient, PendingReply, Pipeline, PipelineConfig, ServiceReport};
-pub use proc::{KvTx, LocalTx, ProcCtx, ProcRegistry, Procedure, PROC_WRITE_MAX};
+pub use proc::{KvTx, LocalTx, ProcCtx, ProcRegistry, Procedure, Scope, PROC_WRITE_MAX};
 pub use queue::{PushError, SubmitQueue};
 pub use shard::{Partitioning, Route, ShardMap, XLock};
 pub use store::{KvOp, KvReply, KvStore, OpClass};

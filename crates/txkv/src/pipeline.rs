@@ -21,10 +21,10 @@
 //!
 //! Requests spanning shards go to a shared cross-shard queue; whichever
 //! executor pops one coordinates it — per-shard read-only transactions
-//! under the shards' [`crate::shard::XLock`]s for reads, two-phase commit
-//! ([`crate::shard`]) for updates, with SGL escalation pinning the
-//! remaining participants once any participant falls back, and
-//! compensating undo if the chaos injector unwinds the apply phase
+//! under the shards' [`crate::shard::XLock`]s for reads, and for updates
+//! the one two-phase-commit coordinator, [`crate::shard::coordinate`],
+//! with SGL escalation pinning the remaining legs once any leg falls back
+//! and a rollback of the committed legs if the chaos injector unwinds one
 //! mid-protocol (the request is then answered [`KvReply::Shed`]: fully
 //! aborted, never half-applied).
 //!
@@ -48,22 +48,21 @@
 //! guarantees this even if an executor unwinds.
 
 use crate::durability::{Append, CrashSite, DurabilityMode, WalError, WalSet, Writes};
-use crate::proc::{ProcCtx, ProcRegistry, PROC_WRITE_MAX};
+use crate::proc::{ProcCtx, ProcRegistry, Scope, PROC_WRITE_MAX};
 use crate::queue::{PushError, SubmitQueue};
 use crate::shard::{
-    apply_part, group_adds, group_puts, prepare_part, undo_part, Route, ShardMap, ShardPart,
-    UndoImage, XLock, XUpdate,
+    coordinate, group_adds, group_puts, Leg, Participants, Route, ShardMap, ShardPart, XLock,
+    XOutcome,
 };
 use crate::store::{KvOp, KvReply, KvStore, OpClass};
 use crate::KvError;
-use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 use tm_api::{Abort, AbortReason, BackoffPolicy, ContentionManager, LatencyHist};
-use tm_api::{Outcome, ThreadStats, TmBackend, TmThread, TwoPcStats, Tx, TxKind, WalStats};
+use tm_api::{Outcome, ThreadStats, TmBackend, TmThread, TwoPcStats, TxKind, WalStats};
 use txmem::hooks::{self, Event};
 use workloads::btree::NodeScratch;
 
@@ -476,6 +475,37 @@ impl ExecOut {
             shard_stats: vec![ThreadStats::default(); shards],
         }
     }
+
+    /// Record latency and answer the client.
+    fn finish(&mut self, req: Request, reply: KvReply, service: Duration) {
+        let e2e = req.enqueued.elapsed();
+        let cl = &mut self.classes[req.op.class().index()];
+        cl.e2e.record(e2e);
+        cl.service.record(service);
+        if let KvOp::Call { proc, .. } = &req.op {
+            if let Some(pl) = self.procs.iter_mut().find(|pl| pl.proc == *proc) {
+                pl.e2e.record(e2e);
+                pl.service.record(service);
+            }
+        }
+        req.slot.fill(reply);
+        self.served += 1;
+        // `req` drops here with the slot already filled: the backstop no-ops.
+    }
+
+    /// Answer `req` unserved because of its shard's log: the typed
+    /// `Unavailable` for a degraded shard, the drop backstop's `Shed` for
+    /// a dead one (the write was never acked).
+    fn refuse(&mut self, req: Request, wal: &WalSet, why: WalError) {
+        self.shed += 1;
+        match why {
+            WalError::Dead => wal.note_dead_shed(),
+            WalError::Unavailable => {
+                wal.note_degraded_shed();
+                req.slot.fill(KvReply::Unavailable);
+            }
+        }
+    }
 }
 
 /// Aggregated pipeline report returned by [`Pipeline::shutdown`].
@@ -818,7 +848,7 @@ impl<B: TmBackend> Pipeline<B> {
                 let cfg = cfg.clone();
                 std::thread::Builder::new()
                     .name(format!("txkv-exec-{i}"))
-                    .spawn(move || executor_loop(i, &domains, &shared, &cfg))
+                    .spawn(move || Executor::new(i, &domains, &shared, &cfg).run())
                     .expect("spawn executor")
             })
             .collect();
@@ -938,210 +968,6 @@ fn served_shards(idx: usize, executors: usize, shards: usize) -> Vec<usize> {
     }
 }
 
-/// Executor scratch capacity: procedure legs can write far more keys
-/// than a client multi-op ([`PROC_WRITE_MAX`] vs `multi_key_max`), so a
-/// pipeline serving calls pre-sizes for the larger bound.
-fn scratch_keys(cfg: &PipelineConfig, shared: &Shared) -> usize {
-    if shared.procs.is_some() {
-        cfg.multi_key_max.max(PROC_WRITE_MAX)
-    } else {
-        cfg.multi_key_max
-    }
-}
-
-fn executor_loop<B: TmBackend>(
-    idx: usize,
-    domains: &[(B, KvStore)],
-    shared: &Shared,
-    cfg: &PipelineConfig,
-) -> ExecOut {
-    let shards = domains.len();
-    let served = served_shards(idx, cfg.executors, shards);
-    let procs = shared.procs.as_deref();
-    let batch_keys = scratch_keys(cfg, shared);
-    let mut threads: Vec<B::Thread> = domains.iter().map(|(b, _)| b.register_thread()).collect();
-    let mut scratches: Vec<NodeScratch> =
-        domains.iter().map(|(_, st)| st.new_batch_scratch(batch_keys)).collect();
-    let mut cm = ContentionManager::new(cfg.backoff, 0x9E37_79B9_7F4A_7C15 ^ (idx as u64 + 1));
-    let mut out = ExecOut::new(shards, procs);
-    let mut batch: Vec<Request> = Vec::with_capacity(cfg.ro_batch_max);
-    let wal = shared.wal.as_deref();
-    // Sync-mode acks waiting for their WAL record to become durable, and
-    // a reusable post-image capture buffer for the update lane.
-    let mut pending: Vec<PendingAck> = Vec::new();
-    let mut writes: Writes = Vec::new();
-    let primary = served[0];
-    loop {
-        let mut did_work = false;
-        for &s in &served {
-            // One update, then one RO batch, per shard per iteration:
-            // neither lane can starve the other regardless of mix.
-            // Both serves are unwind barriers: a panic inside a
-            // transaction body (chaos) must not kill the executor —
-            // in a sharded pipeline that would orphan the executor's
-            // whole shard. The in-flight request(s) resolve Shed via
-            // the drop backstop and the mid-transaction handle is
-            // replaced, exactly as on the cross-shard paths.
-            if let Some(req) = shared.shards[s].queue.try_pop_update() {
-                let attempt = catch_unwind(AssertUnwindSafe(|| {
-                    serve_update(
-                        &domains[s].1,
-                        &mut threads[s],
-                        &mut scratches[s],
-                        &mut cm,
-                        req,
-                        &mut out,
-                        wal,
-                        s,
-                        &mut pending,
-                        &mut writes,
-                        &shared.shards[s].xlock,
-                        procs,
-                    );
-                }));
-                if attempt.is_err() {
-                    out.shed += 1;
-                    recover_handle(domains, &mut threads, &mut scratches, s, batch_keys, &mut out);
-                }
-                out.shard_served[s] += 1;
-                did_work = true;
-            }
-            if shared.shards[s].queue.try_pop_ro_batch(cfg.ro_batch_max, &mut batch) > 0 {
-                out.shard_served[s] += batch.len() as u64;
-                let attempt = catch_unwind(AssertUnwindSafe(|| {
-                    serve_ro_batch(
-                        &domains[s].1,
-                        &mut threads[s],
-                        &mut scratches[s],
-                        &mut batch,
-                        procs,
-                        s,
-                        &mut out,
-                    );
-                }));
-                if attempt.is_err() {
-                    out.shed += batch.len() as u64;
-                    batch.clear(); // drop backstop answers Shed
-                    recover_handle(domains, &mut threads, &mut scratches, s, batch_keys, &mut out);
-                }
-                did_work = true;
-            }
-        }
-        // Cross-shard work: any executor coordinates (contention on the
-        // xqueue is negligible — cross-shard traffic is the rare case).
-        if let Some(req) = shared.xqueue.try_pop_update() {
-            serve_xshard_update(
-                domains,
-                shared,
-                &mut threads,
-                &mut scratches,
-                cfg,
-                req,
-                &mut out,
-                &mut pending,
-                &mut writes,
-            );
-            did_work = true;
-        }
-        if shared.xqueue.try_pop_ro_batch(1, &mut batch) > 0 {
-            let req = batch.pop().expect("popped one");
-            serve_xshard_ro(domains, shared, &mut threads, &mut scratches, req, &mut out);
-            did_work = true;
-        }
-        // Durability maintenance every iteration: group-commit flushes,
-        // settle Sync acks that became durable, take due checkpoints.
-        if let Some(w) = wal {
-            wal_maintain(w, shared, &served, &mut pending, false, &mut out);
-            if w.alive() {
-                for &s in &served {
-                    if w.wants_checkpoint(s) {
-                        checkpoint_shard(
-                            domains,
-                            shared,
-                            w,
-                            &mut threads,
-                            &mut scratches,
-                            s,
-                            batch_keys,
-                            &mut out,
-                        );
-                    }
-                }
-            }
-        }
-        if did_work {
-            continue;
-        }
-        let served_done = served.iter().all(|&s| shared.shards[s].queue.is_done());
-        if shared.hard_stop.load(Ordering::Acquire) || (served_done && shared.xqueue.is_done()) {
-            break;
-        }
-        // Idle: nothing to batch behind, so force the group commit out
-        // before parking (bounds Sync ack latency at light load).
-        if let Some(w) = wal {
-            wal_maintain(w, shared, &served, &mut pending, true, &mut out);
-        }
-        // Give the chaos injector its seam, jitter the re-poll so a
-        // large pool doesn't stampede the queue lock, then park briefly.
-        if hooks::active() {
-            hooks::emit(Event::Poll);
-        }
-        cm.admission_jitter(cfg.idle_jitter_ns);
-        shared.shards[primary].queue.wait_for_work(cfg.idle_wait);
-    }
-    // Final group commit: push every shard's tail out (cheap no-op on
-    // empty buffers), settle what became durable, and shed the rest —
-    // an un-durable Sync ack must never escape, even at shutdown.
-    if let Some(w) = wal {
-        if w.alive() {
-            for s in 0..shards {
-                let _ = w.flush(s);
-            }
-        }
-        wal_maintain(w, shared, &served, &mut pending, true, &mut out);
-        for p in pending.drain(..) {
-            w.note_dead_shed();
-            out.shed += 1;
-            drop(p.req);
-        }
-    }
-    // Hard stop (or post-drain sweep): everything still queued is shed —
-    // answered with KvReply::Shed, never silently dropped.
-    loop {
-        let mut any = false;
-        for &s in &served {
-            if let Some(req) = shared.shards[s].queue.try_pop_update() {
-                drop(req); // Drop backstop fills Shed
-                out.shed += 1;
-                any = true;
-            }
-            if shared.shards[s].queue.try_pop_ro_batch(usize::MAX, &mut batch) > 0 {
-                out.shed += batch.len() as u64;
-                batch.clear(); // Drop backstop fills Shed for each
-                any = true;
-            }
-        }
-        if let Some(req) = shared.xqueue.try_pop_update() {
-            drop(req);
-            out.shed += 1;
-            any = true;
-        }
-        if shared.xqueue.try_pop_ro_batch(usize::MAX, &mut batch) > 0 {
-            out.shed += batch.len() as u64;
-            batch.clear();
-            any = true;
-        }
-        if !any {
-            break;
-        }
-    }
-    out.backoffs = cm.backoffs;
-    for (slot, th) in out.shard_stats.iter_mut().zip(&threads) {
-        *slot = th.stats().clone();
-    }
-    out
-}
-
 /// A served update whose reply is withheld until its WAL record is
 /// durable ([`DurabilityMode::Sync`]): the group-commit ack list.
 struct PendingAck {
@@ -1152,1050 +978,674 @@ struct PendingAck {
     shard: usize,
 }
 
-/// Per-iteration durability maintenance: group-commit flush decisions
-/// and Sync-ack settlement.
-///
-/// A served shard's buffer is flushed when the group is full, when the
-/// shard's update lane has gone idle (no later commit to ride with), or
-/// when `force`d (idle park / shutdown). Pending acks are settled
-/// strictly by the durable-LSN watermark — an ack never outruns its
-/// fsync. A dead WAL (simulated power loss) sheds every withheld ack:
-/// those clients were never acked, matching what recovery will replay.
-fn wal_maintain(
-    wal: &WalSet,
-    shared: &Shared,
-    served: &[usize],
-    pending: &mut Vec<PendingAck>,
-    force: bool,
-    out: &mut ExecOut,
-) {
-    if wal.alive() {
-        for &s in served {
-            if wal.buffered(s) == 0 {
+/// One executor thread: a registered backend handle and a write scratch
+/// per shard (any executor may coordinate a cross-shard request), its
+/// contention manager, the Sync acks it withholds, reusable buffers, and
+/// the report it hands back at join time.
+struct Executor<'a, B: TmBackend> {
+    domains: &'a [(B, KvStore)],
+    shared: &'a Shared,
+    cfg: &'a PipelineConfig,
+    /// Shards whose queues this executor polls.
+    served: Vec<usize>,
+    threads: Vec<B::Thread>,
+    scratches: Vec<NodeScratch>,
+    /// Scratch capacity: procedure legs can write far more keys than a
+    /// client multi-op ([`PROC_WRITE_MAX`] vs `multi_key_max`), so a
+    /// pipeline serving calls pre-sizes for the larger bound.
+    scratch_keys: usize,
+    cm: ContentionManager,
+    /// Sync-mode acks waiting for their WAL record to become durable.
+    pending: Vec<PendingAck>,
+    /// Post-image capture buffer for the update lane.
+    writes: Writes,
+    /// Read-only batch buffer.
+    batch: Vec<Request>,
+    out: ExecOut,
+}
+
+impl<'a, B: TmBackend> Executor<'a, B> {
+    fn new(
+        idx: usize,
+        domains: &'a [(B, KvStore)],
+        shared: &'a Shared,
+        cfg: &'a PipelineConfig,
+    ) -> Self {
+        let scratch_keys = match shared.procs {
+            Some(_) => cfg.multi_key_max.max(PROC_WRITE_MAX),
+            None => cfg.multi_key_max,
+        };
+        Executor {
+            domains,
+            shared,
+            cfg,
+            served: served_shards(idx, cfg.executors, domains.len()),
+            threads: domains.iter().map(|(b, _)| b.register_thread()).collect(),
+            scratches: domains.iter().map(|(_, st)| st.new_batch_scratch(scratch_keys)).collect(),
+            scratch_keys,
+            cm: ContentionManager::new(cfg.backoff, 0x9E37_79B9_7F4A_7C15 ^ (idx as u64 + 1)),
+            pending: Vec::new(),
+            writes: Vec::new(),
+            batch: Vec::with_capacity(cfg.ro_batch_max),
+            out: ExecOut::new(domains.len(), shared.procs.as_deref()),
+        }
+    }
+
+    fn run(mut self) -> ExecOut {
+        let (shared, cfg) = (self.shared, self.cfg);
+        let wal = shared.wal.as_deref();
+        let served = self.served.clone();
+        loop {
+            let mut did_work = false;
+            for &s in &served {
+                // One update, then one RO batch, per shard per iteration:
+                // neither lane can starve the other regardless of mix.
+                // Both serves are unwind barriers: a panic inside a
+                // transaction body (chaos) must not kill the executor —
+                // in a sharded pipeline that would orphan the executor's
+                // whole shard. The in-flight request(s) resolve Shed via
+                // the drop backstop and the mid-transaction handle is
+                // replaced, exactly as on the cross-shard paths.
+                if let Some(req) = shared.shards[s].queue.try_pop_update() {
+                    if catch_unwind(AssertUnwindSafe(|| self.serve_update(s, req))).is_err() {
+                        self.out.shed += 1;
+                        self.reset(s);
+                    }
+                    self.out.shard_served[s] += 1;
+                    did_work = true;
+                }
+                if shared.shards[s].queue.try_pop_ro_batch(cfg.ro_batch_max, &mut self.batch) > 0 {
+                    self.out.shard_served[s] += self.batch.len() as u64;
+                    if catch_unwind(AssertUnwindSafe(|| self.serve_ro_batch(s))).is_err() {
+                        self.out.shed += self.batch.len() as u64;
+                        self.batch.clear(); // drop backstop answers Shed
+                        self.reset(s);
+                    }
+                    did_work = true;
+                }
+            }
+            // Cross-shard work: any executor coordinates (contention on the
+            // xqueue is negligible — cross-shard traffic is the rare case).
+            if let Some(req) = shared.xqueue.try_pop_update() {
+                self.serve_xshard(req);
+                did_work = true;
+            }
+            if shared.xqueue.try_pop_ro_batch(1, &mut self.batch) > 0 {
+                let req = self.batch.pop().expect("popped one");
+                self.serve_xshard_ro(req);
+                did_work = true;
+            }
+            // Durability maintenance every iteration: group-commit flushes,
+            // settle Sync acks that became durable, take due checkpoints.
+            if let Some(w) = wal {
+                self.wal_maintain(w, false);
+                for &s in &served {
+                    if w.wants_checkpoint(s) {
+                        self.checkpoint(w, s);
+                    }
+                }
+            }
+            if did_work {
                 continue;
             }
-            if force
-                || wal.buffered(s) >= wal.group_commit_max()
-                || shared.shards[s].queue.depths().1 == 0
+            let served_done = served.iter().all(|&s| shared.shards[s].queue.is_done());
+            if shared.hard_stop.load(Ordering::Acquire) || (served_done && shared.xqueue.is_done())
             {
-                let _ = wal.flush(s);
-            }
-        }
-        let mut i = 0;
-        while i < pending.len() {
-            if wal.durable_lsn(pending[i].shard) >= pending[i].lsn {
-                let p = pending.swap_remove(i);
-                finish(p.req, p.reply, p.service, out);
-            } else if !wal.health(pending[i].shard).writable() {
-                // The shard's log degraded under this ack: answer the
-                // typed outcome now (never ack — the fsync didn't land).
-                // The frame stays retained in the shard's buffer, so the
-                // write may still persist at rejoin — indeterminate for
-                // the client, like any un-acked write.
-                let p = pending.swap_remove(i);
-                wal.note_degraded_shed();
-                out.shed += 1;
-                p.req.slot.fill(KvReply::Unavailable);
-                drop(p.req);
-            } else {
-                i += 1;
-            }
-        }
-    }
-    if !wal.alive() {
-        for p in pending.drain(..) {
-            wal.note_dead_shed();
-            out.shed += 1;
-            drop(p.req); // answered Shed: the write was never acked
-        }
-    }
-}
-
-/// Take one shard's checkpoint: quiesce its writers (xlock, then the
-/// commit lock — the same order 2PC uses), force the log tail out so the
-/// snapshot and the durable log agree on exactly which transactions are
-/// included, snapshot via one RO transaction (the SI-HTM fast path), and
-/// install atomically. A chaos panic inside the snapshot skips this
-/// round (the trigger re-fires) after replacing the poisoned handle.
-#[allow(clippy::too_many_arguments)]
-fn checkpoint_shard<B: TmBackend>(
-    domains: &[(B, KvStore)],
-    shared: &Shared,
-    wal: &WalSet,
-    threads: &mut [B::Thread],
-    scratches: &mut [NodeScratch],
-    s: usize,
-    multi_key_max: usize,
-    out: &mut ExecOut,
-) {
-    let _x = shared.shards[s].xlock.lock();
-    let _cl = wal.commit_lock(s);
-    // Re-check under the locks: another executor serving this shard may
-    // have just checkpointed it.
-    if !wal.wants_checkpoint(s) || wal.flush(s).is_err() {
-        return;
-    }
-    let attempt = catch_unwind(AssertUnwindSafe(|| domains[s].1.snapshot(&mut threads[s])));
-    match attempt {
-        Ok(entries) => {
-            let _ = wal.install_checkpoint(s, &entries);
-        }
-        Err(_) => recover_handle(domains, threads, scratches, s, multi_key_max, out),
-    }
-}
-
-/// Serve one update request in its own update transaction.
-///
-/// With a WAL, the shard's commit lock spans execute + append, so the
-/// log is a commit-ordered journal of post-images: on SI-HTM the append
-/// happens after the pre-commit quiescence wait — strictly outside the
-/// hardware transaction (the DUMBO discipline) — and on the fall-back
-/// paths after the SGL/commit-lock serialization point. In Sync mode the
-/// reply is withheld on `pending` until the record's fsync lands.
-///
-/// Procedure calls additionally take the shard's [`XLock`] for the
-/// duration of the serve. A procedure read-modify-writes keys that
-/// cross-shard call legs may also touch, and a compensated cross-shard
-/// call restores pre-images — admissible only if no acked local call
-/// committed in between. Mutual exclusion against in-flight 2PC on this
-/// shard (same lock, acquired before the commit lock, matching the
-/// coordinator's order) closes that window; plain single-key ops keep
-/// their lock-free path (their blind/delta semantics never needed it).
-#[allow(clippy::too_many_arguments)]
-fn serve_update<T: TmThread>(
-    store: &KvStore,
-    thread: &mut T,
-    scratch: &mut NodeScratch,
-    cm: &mut ContentionManager,
-    req: Request,
-    out: &mut ExecOut,
-    wal: Option<&WalSet>,
-    shard: usize,
-    pending: &mut Vec<PendingAck>,
-    writes: &mut Writes,
-    xlock: &XLock,
-    procs: Option<&ProcRegistry>,
-) {
-    if let Some(w) = wal {
-        match w.admits(shard) {
-            Ok(()) => {}
-            Err(WalError::Dead) => {
-                // Simulated power loss: nothing can become durable, so
-                // accepting updates would hand out un-loggable acks.
-                w.note_dead_shed();
-                out.shed += 1;
-                drop(req);
-                return;
-            }
-            Err(WalError::Unavailable) => {
-                // Degraded storage on this shard: shed the update with
-                // the typed outcome (reads still serve; the maintenance
-                // probe rejoins the shard when its medium heals).
-                w.note_degraded_shed();
-                out.shed += 1;
-                req.slot.fill(KvReply::Unavailable);
-                drop(req);
-                return;
-            }
-        }
-    }
-    let aborts_before = thread.stats().aborts();
-    let t0 = Instant::now();
-    let xguard = match &req.op {
-        KvOp::Call { .. } => Some(xlock.lock()),
-        _ => None,
-    };
-    let guard = wal.map(|w| w.commit_lock(shard));
-    writes.clear();
-    let reply = match &req.op {
-        KvOp::Put { key, val } => {
-            let changed = store.put(thread, scratch, *key, *val);
-            writes.push((*key, Some(*val)));
-            KvReply::Done { changed }
-        }
-        KvOp::Delete { key } => {
-            let changed = store.delete(thread, *key);
-            writes.push((*key, None));
-            KvReply::Done { changed }
-        }
-        KvOp::Cas { key, expect, new } => match store.cas(thread, scratch, *key, *expect, *new) {
-            Ok(()) => {
-                writes.push((*key, Some(*new)));
-                KvReply::CasOk
-            }
-            // A failed CAS committed nothing: no record, immediate ack.
-            Err(observed) => KvReply::CasFail(observed),
-        },
-        KvOp::MultiPut { pairs } => {
-            store.multi_put(thread, scratch, pairs);
-            writes.extend(pairs.iter().map(|&(k, v)| (k, Some(v))));
-            KvReply::Done { changed: true }
-        }
-        KvOp::MultiAdd { deltas } => {
-            // Add post-images depend on the read values, so they must be
-            // captured inside the transaction body (reset per attempt).
-            if wal.is_some() {
-                store.multi_add_logged(thread, scratch, deltas, writes);
-            } else {
-                store.multi_add(thread, scratch, deltas);
-            }
-            KvReply::Done { changed: true }
-        }
-        KvOp::Call { proc, args, .. } => match procs.and_then(|r| r.get(*proc)) {
-            None => KvReply::CallAborted,
-            Some(p) => {
-                let below = procs.expect("registry present").replicated_below();
-                let capture = wal.is_some();
-                let mut outv: Vec<u64> = Vec::new();
-                let outcome = thread.exec(TxKind::Update, &mut |tx| {
-                    // Post-images depend on in-transaction reads: reset
-                    // the capture per attempt, like MultiAdd.
-                    scratch.reset();
-                    writes.clear();
-                    outv.clear();
-                    let mut ctx = ProcCtx::new(
-                        store,
-                        tx,
-                        scratch,
-                        None,
-                        shard,
-                        true,
-                        below,
-                        capture.then_some(&mut *writes),
-                        None,
-                    );
-                    outv = p.run(&mut ctx, args)?;
-                    Ok(())
-                });
-                match outcome {
-                    Outcome::Committed => {
-                        scratch.refill(store.alloc());
-                        KvReply::CallOk(std::mem::take(&mut outv))
-                    }
-                    Outcome::UserAborted => {
-                        // Nothing committed: no record, immediate ack.
-                        writes.clear();
-                        KvReply::CallAborted
-                    }
-                }
-            }
-        },
-        ro => unreachable!("read-only op {ro:?} in the update lane"),
-    };
-    let appended = match wal {
-        Some(w) if !writes.is_empty() => {
-            w.crash_point(CrashSite::AfterCommit);
-            Some(w.append(shard, Append::Write(writes)))
-        }
-        _ => None,
-    };
-    drop(guard);
-    drop(xguard);
-    let service = t0.elapsed();
-    // Abort-aware pacing: a serve that needed backend retries backs the
-    // executor off before the next pop; a clean one resets the ceiling.
-    if thread.stats().aborts() > aborts_before {
-        cm.backoff(AbortReason::Conflict);
-    } else {
-        cm.reset();
-    }
-    match (wal, appended) {
-        (Some(w), Some(Ok(lsn))) if w.mode() == DurabilityMode::Sync => {
-            pending.push(PendingAck { req, reply, service, lsn, shard });
-        }
-        (Some(w), Some(Err(WalError::Dead))) if w.mode() == DurabilityMode::Sync => {
-            // Committed in memory but lost the log before the fsync: the
-            // client is shed (never acked), exactly what recovery shows.
-            w.note_dead_shed();
-            out.shed += 1;
-            drop(req);
-        }
-        (Some(w), Some(Err(WalError::Unavailable))) if w.mode() == DurabilityMode::Sync => {
-            // The shard degraded between admission and append: committed
-            // in memory, nothing logged — answer the typed outcome
-            // un-acked (indeterminate for the client, like any timeout).
-            w.note_degraded_shed();
-            out.shed += 1;
-            req.slot.fill(KvReply::Unavailable);
-            drop(req);
-        }
-        _ => finish(req, reply, service, out),
-    }
-}
-
-/// Serve a whole batch of read-only requests in ONE read-only
-/// transaction (the SI-HTM RO fast path: unbounded, never aborts, one
-/// shared snapshot for the entire batch). Read-only procedure calls ride
-/// in the same transaction — a typed workload's whole read mix shares
-/// the batch's snapshot and its single quiescence interaction.
-#[allow(clippy::too_many_arguments)]
-fn serve_ro_batch<T: TmThread>(
-    store: &KvStore,
-    thread: &mut T,
-    scratch: &mut NodeScratch,
-    batch: &mut Vec<Request>,
-    procs: Option<&ProcRegistry>,
-    shard: usize,
-    out: &mut ExecOut,
-) {
-    let aborts_before = thread.stats().aborts();
-    let t0 = Instant::now();
-    let mut replies: Vec<KvReply> = Vec::with_capacity(batch.len());
-    thread.exec(TxKind::ReadOnly, &mut |tx| {
-        replies.clear(); // idempotent across retries on fallback paths
-        for req in batch.iter() {
-            let r = match &req.op {
-                KvOp::Get { key } => KvReply::Value(store.get_in(tx, *key)?),
-                KvOp::MultiGet { keys } => {
-                    let mut vals = Vec::with_capacity(keys.len());
-                    for &k in keys {
-                        vals.push(store.get_in(tx, k)?);
-                    }
-                    KvReply::Values(vals)
-                }
-                KvOp::ScanPrefix { prefix, shift, limit } => {
-                    let (count, sum) = store.scan_prefix_in(tx, *prefix, *shift, *limit)?;
-                    KvReply::Scan { count, sum }
-                }
-                KvOp::ScanRange { from, to, limit } => {
-                    let (count, sum) = store.scan_range_in(tx, *from, *to, *limit)?;
-                    KvReply::Scan { count, sum }
-                }
-                KvOp::Call { proc, args, .. } => match procs.and_then(|r| r.get(*proc)) {
-                    None => KvReply::CallAborted,
-                    Some(p) => {
-                        let below = procs.expect("registry present").replicated_below();
-                        let mut ctx =
-                            ProcCtx::new(store, tx, scratch, None, shard, true, below, None, None);
-                        match p.run(&mut ctx, args) {
-                            Ok(outs) => KvReply::CallOk(outs),
-                            // A user abort in a read-only call answers
-                            // just that request; the batch's snapshot
-                            // (and the other requests) are unaffected.
-                            Err(Abort::User) => KvReply::CallAborted,
-                            Err(e) => return Err(e),
-                        }
-                    }
-                },
-                up => unreachable!("update op {up:?} in the read-only lane"),
-            };
-            replies.push(r);
-        }
-        Ok::<(), Abort>(())
-    });
-    let service = t0.elapsed();
-    out.ro_batches += 1;
-    out.ro_batch_ops += batch.len() as u64;
-    out.max_ro_batch = out.max_ro_batch.max(batch.len() as u64);
-    out.ro_batch_aborts += thread.stats().aborts() - aborts_before;
-    for (req, reply) in batch.drain(..).zip(replies) {
-        finish(req, reply, service, out);
-    }
-}
-
-/// Replace a backend thread handle (and its scratch) after a caught
-/// panic left it mid-transaction: dropping the old handle runs the
-/// backend's unwind cleanup (abort in-flight tx, release state-array
-/// slot / SGL), and the fresh registration starts clean.
-fn recover_handle<B: TmBackend>(
-    domains: &[(B, KvStore)],
-    threads: &mut [B::Thread],
-    scratches: &mut [NodeScratch],
-    s: usize,
-    multi_key_max: usize,
-    out: &mut ExecOut,
-) {
-    threads[s] = domains[s].0.register_thread();
-    scratches[s] = domains[s].1.new_batch_scratch(multi_key_max);
-    out.handle_resets += 1;
-}
-
-/// Coordinate one cross-shard update via two-phase commit (see
-/// [`crate::shard`]). On a mid-protocol panic (chaos), already-applied
-/// participants are rolled back from the undo images and the request is
-/// answered [`KvReply::Shed`] — fully aborted, never half-applied.
-///
-/// With a WAL the protocol interleaves durability so recovery can always
-/// resolve it all-or-nothing (DESIGN.md §12):
-///
-/// 1. after the in-memory prepares, every participant's `XBegin`
-///    (participant set + undo image) is appended and flushed — durable
-///    before anyone applies;
-/// 2. each participant's apply commits under its shard commit lock and
-///    its `XApply` post-image is flushed before the next participant
-///    applies;
-/// 3. an `XDecide` is appended + flushed to every participant; the
-///    client is acked once the **first** one is durable (a decision in
-///    any single log commits the transaction everywhere at recovery).
-///
-/// If the log dies before any decision is durable, the applied
-/// participants are compensated live and each compensation is logged as
-/// one atomic `XAbort` (marker + compensation post-image), so recovery
-/// and the live path agree whichever records survived.
-#[allow(clippy::too_many_arguments)]
-fn serve_xshard_update<B: TmBackend>(
-    domains: &[(B, KvStore)],
-    shared: &Shared,
-    threads: &mut [B::Thread],
-    scratches: &mut [NodeScratch],
-    cfg: &PipelineConfig,
-    req: Request,
-    out: &mut ExecOut,
-    pending: &mut Vec<PendingAck>,
-    writes: &mut Writes,
-) {
-    let wal = shared.wal.as_deref();
-    let set = match shared.map.route(&req.op) {
-        Route::Cross(set) => set,
-        // Defensive: a Single-routed op in the xqueue just runs locally.
-        Route::Single(s) => {
-            let mut cm = ContentionManager::new(BackoffPolicy::none(), 1);
-            serve_update(
-                &domains[s].1,
-                &mut threads[s],
-                &mut scratches[s],
-                &mut cm,
-                req,
-                out,
-                wal,
-                s,
-                pending,
-                writes,
-                &shared.shards[s].xlock,
-                shared.procs.as_deref(),
-            );
-            out.shard_served[s] += 1;
-            return;
-        }
-    };
-    if let Some(w) = wal {
-        if !w.alive() {
-            w.note_dead_shed();
-            out.shed += 1;
-            drop(req);
-            return;
-        }
-        // 2PC never starts against a degraded participant: one shard's
-        // bad disk must not burn prepare/compensate work on the others.
-        if set.iter().any(|&s| !w.health(s).writable()) {
-            w.note_degraded_shed();
-            out.shed += 1;
-            req.slot.fill(KvReply::Unavailable);
-            drop(req);
-            return;
-        }
-    }
-    if matches!(&req.op, KvOp::Call { .. }) {
-        serve_xshard_call(domains, shared, threads, scratches, cfg, req, out, set);
-        return;
-    }
-    let ups = match &req.op {
-        KvOp::MultiPut { pairs } => group_puts(&shared.map, &set, pairs),
-        KvOp::MultiAdd { deltas } => group_adds(&shared.map, &set, deltas),
-        up => unreachable!("non-update op {up:?} in the cross-shard update lane"),
-    };
-    let t0 = Instant::now();
-    // Ascending shard order → deadlock-free against every other
-    // coordinator.
-    let _guards: Vec<_> = set.iter().map(|&s| shared.shards[s].xlock.lock()).collect();
-    out.twopc.prepares += 1;
-    let xid = wal.map(|w| w.next_xid()).unwrap_or(0);
-    let committed = Cell::new(0usize); // fully-applied participants
-    let escalations = Cell::new(0u64);
-    let inflight = Cell::new(None::<usize>); // shard mid-transaction at panic time
-    let xbegun = Cell::new(false); // XBegin records are durable
-    let undos: RefCell<Vec<UndoImage>> = RefCell::new(Vec::with_capacity(set.len()));
-    let attempt = catch_unwind(AssertUnwindSafe(|| -> Result<(), WalError> {
-        for (pi, &s) in set.iter().enumerate() {
-            inflight.set(Some(s));
-            let mut part = ShardPart {
-                store: &domains[s].1,
-                thread: &mut threads[s],
-                scratch: &mut scratches[s],
-            };
-            let undo = prepare_part(&mut part, &ups[pi]);
-            undos.borrow_mut().push(undo);
-        }
-        inflight.set(None);
-        // Durable prepare: every participant's XBegin on disk before
-        // anyone applies, so a crash mid-apply can always compensate.
-        if let Some(w) = wal {
-            let undos = undos.borrow();
-            for (pi, &s) in set.iter().enumerate() {
-                let _cl = w.commit_lock(s);
-                w.append(s, Append::XBegin { xid, parts: &set, upd: &ups[pi], undo: &undos[pi] })?;
-            }
-            for &s in set.iter() {
-                w.flush(s)?;
-            }
-            xbegun.set(true);
-            w.crash_point(CrashSite::AfterPrepare);
-        }
-        // The prepare → apply seam: the chaos injector's crash window the
-        // atomicity tests aim at.
-        if hooks::active() {
-            hooks::emit(Event::Poll);
-        }
-        let mut escalated = false;
-        let mut xw: Writes = Vec::new();
-        for (pi, &s) in set.iter().enumerate() {
-            inflight.set(Some(s));
-            let mut part = ShardPart {
-                store: &domains[s].1,
-                thread: &mut threads[s],
-                scratch: &mut scratches[s],
-            };
-            // The commit lock spans apply + append (commit order), and
-            // the XApply is durable before the next participant applies.
-            let cl = wal.map(|w| w.commit_lock(s));
-            if apply_part(&mut part, &ups[pi], escalated, &mut xw) && !escalated {
-                escalated = true;
-                escalations.set(escalations.get() + 1);
-            }
-            committed.set(pi + 1);
-            if let Some(w) = wal {
-                w.append(s, Append::XApply { xid, writes: &xw })?;
-                drop(cl);
-                w.flush(s)?;
-                w.crash_point(CrashSite::AfterApply);
-            }
-        }
-        inflight.set(None);
-        // Decision: the first durable XDecide commits the transaction
-        // everywhere at recovery; write it to every participant so any
-        // single surviving log suffices.
-        if let Some(w) = wal {
-            let mut decided = false;
-            for &s in set.iter() {
-                let appended = {
-                    let _cl = w.commit_lock(s);
-                    w.append(s, Append::XDecide { xid })
-                };
-                if appended.is_ok() && w.flush(s).is_ok() {
-                    decided = true;
-                } else if decided {
-                    break; // durably committed already; the log just died
-                } else {
-                    return Err(WalError::Dead);
-                }
-            }
-            w.crash_point(CrashSite::AfterDecision);
-        }
-        Ok(())
-    }));
-    out.twopc.escalations += escalations.get();
-    for &s in &set {
-        out.shard_served[s] += 1;
-    }
-    let mut degraded = false;
-    let failed = match attempt {
-        Ok(Ok(())) => false,
-        // The log died (power loss) or a participant degraded before any
-        // decision became durable: recovery will presume abort, so the
-        // live side must abort too — through the same compensation.
-        Ok(Err(e)) => {
-            degraded = e == WalError::Unavailable;
-            true
-        }
-        Err(_) => {
-            // The panicking participant's transaction did not commit (the
-            // injector fires inside transaction bodies); its handle is
-            // mid-transaction and must be replaced before reuse.
-            if let Some(s) = inflight.get() {
-                recover_handle(domains, threads, scratches, s, scratch_keys(cfg, shared), out);
-            }
-            true
-        }
-    };
-    if !failed {
-        let service = t0.elapsed();
-        // Sync-on-ack already holds: the decision fsync above is the
-        // durability point, so the reply needs no pending delay.
-        finish(req, KvReply::Done { changed: true }, service, out);
-        return;
-    }
-    let undos = undos.into_inner();
-    let mut comp: Writes = Vec::new();
-    for (pi, &s) in set.iter().enumerate().take(committed.get()) {
-        // Compensation must land even if chaos keeps firing: retry,
-        // replacing the handle after each caught panic.
-        let mut attempts = 0;
-        loop {
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                let mut part = ShardPart {
-                    store: &domains[s].1,
-                    thread: &mut threads[s],
-                    scratch: &mut scratches[s],
-                };
-                let cl = wal.map(|w| w.commit_lock(s));
-                undo_part(&mut part, &ups[pi], &undos[pi], &mut comp);
-                if let Some(w) = wal {
-                    if xbegun.get() {
-                        // One atomic record at the compensation's true
-                        // commit position: abort marker + rollback
-                        // post-image. Best-effort on a dying log —
-                        // recovery compensates any participant whose
-                        // XAbort didn't make it.
-                        let _ = w.append(s, Append::XAbort { xid, writes: &comp });
-                    }
-                }
-                drop(cl);
-            }));
-            if r.is_ok() {
                 break;
             }
-            recover_handle(domains, threads, scratches, s, scratch_keys(cfg, shared), out);
-            attempts += 1;
-            assert!(attempts < 1000, "2PC compensation could not complete");
-        }
-        if let Some(w) = wal {
-            let _ = w.flush(s);
-        }
-    }
-    out.twopc.aborts += 1;
-    out.shed += 1;
-    if degraded {
-        // A participant's log degraded mid-protocol (it won the race
-        // against the admission pre-check): fully compensated, answered
-        // with the same typed refusal the pre-check gives.
-        if let Some(w) = wal {
-            w.note_degraded_shed();
-        }
-        req.slot.fill(KvReply::Unavailable);
-    }
-    drop(req); // Drop backstop answers KvReply::Shed: fully aborted
-}
-
-/// Coordinate one cross-shard procedure call. Unlike `MultiPut` /
-/// `MultiAdd`, a procedure's write set is *computed* by its body, so
-/// the classic prepare-then-apply split (undo capture in a separate
-/// read-only pass) is impossible — the undo keys aren't known until the
-/// body runs. Instead each participant runs one **combined** leg: the
-/// body executes inside that shard's update transaction with pre-images
-/// (2PC undo, first-write-wins per key) and post-images (WAL) captured
-/// in-transaction, and the leg's `XBegin` (participant set + undo) and
-/// `XApply` (post-image) are appended *together* under the shard commit
-/// lock, flushed before the next leg runs. A surviving log therefore
-/// shows both records or neither, and recovery's image-restore
-/// compensation (DESIGN.md §12) applies unchanged — no record format
-/// grew for calls.
-///
-/// The decision protocol, SGL escalation pinning, chaos compensation
-/// and `XAbort` logging are exactly the classic path's. A leg returning
-/// [`Abort::User`] rolls the committed legs back through the same
-/// compensation and answers [`KvReply::CallAborted`] — a served
-/// semantic reply, not a shed (and not a 2PC abort in the stats).
-#[allow(clippy::too_many_arguments)]
-fn serve_xshard_call<B: TmBackend>(
-    domains: &[(B, KvStore)],
-    shared: &Shared,
-    threads: &mut [B::Thread],
-    scratches: &mut [NodeScratch],
-    cfg: &PipelineConfig,
-    req: Request,
-    out: &mut ExecOut,
-    set: Vec<usize>,
-) {
-    let wal = shared.wal.as_deref();
-    let reg = shared.procs.as_deref();
-    let (p, args) = match (
-        &req.op,
-        reg.and_then(|r| match &req.op {
-            KvOp::Call { proc, .. } => r.get(*proc),
-            _ => None,
-        }),
-    ) {
-        (KvOp::Call { args, .. }, Some(p)) => (Arc::clone(p), args.clone()),
-        _ => {
-            finish(req, KvReply::CallAborted, Duration::ZERO, out);
-            return;
-        }
-    };
-    let below = reg.map(|r| r.replicated_below()).unwrap_or(0);
-    let t0 = Instant::now();
-    // Ascending shard order → deadlock-free against every other
-    // coordinator (and against single-shard calls, which take their
-    // shard's xlock too).
-    let _guards: Vec<_> = set.iter().map(|&s| shared.shards[s].xlock.lock()).collect();
-    out.twopc.prepares += 1;
-    let xid = wal.map(|w| w.next_xid()).unwrap_or(0);
-    // The undo image carries the whole rollback; the update half of the
-    // XBegin record is an empty Put (see `undo_part`).
-    let noop = XUpdate::Put(Vec::new());
-    let committed = Cell::new(0usize);
-    let escalations = Cell::new(0u64);
-    let inflight = Cell::new(None::<usize>);
-    let xbegun = Cell::new(false);
-    let user_abort = Cell::new(false);
-    let undos: RefCell<Vec<UndoImage>> = RefCell::new(Vec::with_capacity(set.len()));
-    let outputs: RefCell<Vec<u64>> = RefCell::new(Vec::new());
-    let attempt = catch_unwind(AssertUnwindSafe(|| -> Result<(), WalError> {
-        let mut escalated = false;
-        let mut xw: Writes = Vec::new();
-        for &s in set.iter() {
-            inflight.set(Some(s));
-            let store = &domains[s].1;
-            let sgl_before = threads[s].stats().sgl_acquisitions;
-            // The commit lock spans execute + append: the XBegin/XApply
-            // pair sits at the leg's true commit position in the log.
-            let cl = wal.map(|w| w.commit_lock(s));
-            let mut undo: UndoImage = Vec::new();
-            let mut leg_out: Vec<u64> = Vec::new();
-            let outcome = {
-                let scratch = &mut scratches[s];
-                let thread = &mut threads[s];
-                let mut body = |tx: &mut dyn Tx| {
-                    // All captures depend on in-transaction reads:
-                    // reset per attempt.
-                    scratch.reset();
-                    xw.clear();
-                    undo.clear();
-                    leg_out.clear();
-                    let mut ctx = ProcCtx::new(
-                        store,
-                        tx,
-                        scratch,
-                        Some(&shared.map),
-                        s,
-                        false,
-                        below,
-                        wal.is_some().then_some(&mut xw),
-                        Some(&mut undo),
-                    );
-                    leg_out = p.run(&mut ctx, &args)?;
-                    Ok(())
-                };
-                let outcome = if escalated {
-                    thread.exec_escalated(&mut body)
-                } else {
-                    thread.exec(TxKind::Update, &mut body)
-                };
-                if outcome == Outcome::Committed {
-                    scratch.refill(store.alloc());
-                    if thread.stats().sgl_acquisitions > sgl_before && !escalated {
-                        escalated = true;
-                        escalations.set(escalations.get() + 1);
-                    }
-                }
-                outcome
-            };
-            if outcome == Outcome::UserAborted {
-                drop(cl);
-                user_abort.set(true);
-                inflight.set(None);
-                return Ok(());
-            }
-            undos.borrow_mut().push(undo);
-            outputs.borrow_mut().extend(leg_out);
-            committed.set(committed.get() + 1);
+            // Idle: nothing to batch behind, so force the group commit out
+            // before parking (bounds Sync ack latency at light load).
             if let Some(w) = wal {
-                {
-                    let undos = undos.borrow();
-                    w.append(
-                        s,
-                        Append::XBegin {
-                            xid,
-                            parts: &set,
-                            upd: &noop,
-                            undo: undos.last().expect("just pushed"),
-                        },
-                    )?;
-                }
-                w.append(s, Append::XApply { xid, writes: &xw })?;
-                drop(cl);
-                w.flush(s)?;
-                xbegun.set(true);
-                // Both classic crash windows collapse onto the per-leg
-                // flush here ("durably prepared" and "applied" are the
-                // same instant for a combined leg), so both sites arm
-                // on the same seam and stay reachable for call-only
-                // traffic.
-                w.crash_point(CrashSite::AfterPrepare);
-                w.crash_point(CrashSite::AfterApply);
-            } else {
-                drop(cl);
+                self.wal_maintain(w, true);
             }
-            // Leg → leg seam: the chaos injector's crash window.
+            // Give the chaos injector its seam, jitter the re-poll so a
+            // large pool doesn't stampede the queue lock, then park briefly.
             if hooks::active() {
                 hooks::emit(Event::Poll);
             }
+            self.cm.admission_jitter(cfg.idle_jitter_ns);
+            shared.shards[served[0]].queue.wait_for_work(cfg.idle_wait);
         }
-        inflight.set(None);
-        // Decision: identical to the classic path — the first durable
-        // XDecide commits the call everywhere at recovery.
+        // Final group commit: push every shard's tail out (cheap no-op on
+        // empty buffers), settle what became durable, and shed the rest —
+        // an un-durable Sync ack must never escape, even at shutdown.
         if let Some(w) = wal {
-            let mut decided = false;
-            for &s in set.iter() {
-                let appended = {
-                    let _cl = w.commit_lock(s);
-                    w.append(s, Append::XDecide { xid })
-                };
-                if appended.is_ok() && w.flush(s).is_ok() {
-                    decided = true;
-                } else if decided {
-                    break; // durably committed already; the log just died
-                } else {
-                    return Err(WalError::Dead);
+            if w.alive() {
+                for s in 0..self.domains.len() {
+                    let _ = w.flush(s);
                 }
             }
-            w.crash_point(CrashSite::AfterDecision);
-        }
-        Ok(())
-    }));
-    out.twopc.escalations += escalations.get();
-    for &s in &set {
-        out.shard_served[s] += 1;
-    }
-    let mut degraded = false;
-    let failed = match attempt {
-        Ok(Ok(())) => false,
-        Ok(Err(e)) => {
-            degraded = e == WalError::Unavailable;
-            true
-        }
-        Err(_) => {
-            if let Some(s) = inflight.get() {
-                recover_handle(domains, threads, scratches, s, scratch_keys(cfg, shared), out);
+            self.wal_maintain(w, true);
+            for p in self.pending.drain(..) {
+                self.out.refuse(p.req, w, WalError::Dead);
             }
-            true
         }
-    };
-    if !failed && !user_abort.get() {
-        finish(req, KvReply::CallOk(outputs.into_inner()), t0.elapsed(), out);
-        return;
+        self.shed_queued();
+        self.out.backoffs = self.cm.backoffs;
+        for (slot, th) in self.out.shard_stats.iter_mut().zip(&self.threads) {
+            *slot = th.stats().clone();
+        }
+        self.out
     }
-    // Roll the committed legs back by restoring their pre-images —
-    // semantic rollback (user abort) and failure compensation share the
-    // machinery and the XAbort records.
-    let undos = undos.into_inner();
-    let mut comp: Writes = Vec::new();
-    for (pi, &s) in set.iter().enumerate().take(committed.get()) {
-        let mut attempts = 0;
+
+    /// Hard stop (or post-drain sweep): everything still queued is shed —
+    /// answered with [`KvReply::Shed`] by the drop backstop, never
+    /// silently dropped.
+    fn shed_queued(&mut self) {
+        let shared = self.shared;
+        let queues = self.served.iter().map(|&s| &shared.shards[s].queue).chain([&shared.xqueue]);
         loop {
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                let mut part = ShardPart {
-                    store: &domains[s].1,
-                    thread: &mut threads[s],
-                    scratch: &mut scratches[s],
-                };
-                let cl = wal.map(|w| w.commit_lock(s));
-                undo_part(&mut part, &noop, &undos[pi], &mut comp);
-                if let Some(w) = wal {
-                    if xbegun.get() {
-                        let _ = w.append(s, Append::XAbort { xid, writes: &comp });
-                    }
+            let mut any = false;
+            for q in queues.clone() {
+                if let Some(req) = q.try_pop_update() {
+                    drop(req);
+                    self.out.shed += 1;
+                    any = true;
                 }
-                drop(cl);
-            }));
-            if r.is_ok() {
+                if q.try_pop_ro_batch(usize::MAX, &mut self.batch) > 0 {
+                    self.out.shed += self.batch.len() as u64;
+                    self.batch.clear();
+                    any = true;
+                }
+            }
+            if !any {
                 break;
             }
-            recover_handle(domains, threads, scratches, s, scratch_keys(cfg, shared), out);
-            attempts += 1;
-            assert!(attempts < 1000, "call compensation could not complete");
-        }
-        if let Some(w) = wal {
-            let _ = w.flush(s);
         }
     }
-    if !failed {
-        // User abort, fully rolled back: a served semantic reply.
-        finish(req, KvReply::CallAborted, t0.elapsed(), out);
-    } else {
-        out.twopc.aborts += 1;
-        out.shed += 1;
-        if degraded {
-            // Same typed refusal as the admission pre-check: a leg's log
-            // degraded mid-call, everything is rolled back.
-            if let Some(w) = wal {
-                w.note_degraded_shed();
-            }
-            req.slot.fill(KvReply::Unavailable);
-        }
-        drop(req); // Drop backstop answers KvReply::Shed: fully aborted
-    }
-}
 
-/// Serve one cross-shard read-only request: per-shard read-only
-/// transactions under the participants' xlocks (so no half-applied
-/// cross-shard update can be observed). Point reads merge positionally;
-/// scans merge into one globally key-ordered result.
-fn serve_xshard_ro<B: TmBackend>(
-    domains: &[(B, KvStore)],
-    shared: &Shared,
-    threads: &mut [B::Thread],
-    scratches: &mut [NodeScratch],
-    req: Request,
-    out: &mut ExecOut,
-) {
-    let set = match shared.map.route(&req.op) {
-        Route::Cross(set) => set,
-        Route::Single(s) => {
-            // Defensive: serve as a batch of one on the owning shard.
-            let mut one = vec![req];
-            out.shard_served[s] += 1;
-            serve_ro_batch(
-                &domains[s].1,
-                &mut threads[s],
-                &mut scratches[s],
-                &mut one,
-                shared.procs.as_deref(),
-                s,
-                out,
-            );
+    /// Per-iteration durability maintenance: group-commit flush decisions
+    /// and Sync-ack settlement.
+    ///
+    /// A served shard's buffer is flushed when the group is full, when the
+    /// shard's update lane has gone idle (no later commit to ride with), or
+    /// when `force`d (idle park / shutdown). Pending acks are settled
+    /// strictly by the durable-LSN watermark — an ack never outruns its
+    /// fsync. A dead WAL (simulated power loss) sheds every withheld ack:
+    /// those clients were never acked, matching what recovery will replay.
+    fn wal_maintain(&mut self, wal: &WalSet, force: bool) {
+        if wal.alive() {
+            for &s in &self.served {
+                let buffered = wal.buffered(s);
+                if buffered > 0
+                    && (force
+                        || buffered >= wal.group_commit_max()
+                        || self.shared.shards[s].queue.depths().1 == 0)
+                {
+                    let _ = wal.flush(s);
+                }
+            }
+            let mut i = 0;
+            while i < self.pending.len() {
+                let shard = self.pending[i].shard;
+                if wal.durable_lsn(shard) >= self.pending[i].lsn {
+                    let p = self.pending.swap_remove(i);
+                    self.out.finish(p.req, p.reply, p.service);
+                } else if !wal.health(shard).writable() {
+                    // The shard's log degraded under this ack: answer the
+                    // typed outcome now (never ack — the fsync didn't land).
+                    // The frame stays retained in the shard's buffer, so the
+                    // write may still persist at rejoin — indeterminate for
+                    // the client, like any un-acked write.
+                    let p = self.pending.swap_remove(i);
+                    self.out.refuse(p.req, wal, WalError::Unavailable);
+                } else {
+                    i += 1;
+                }
+            }
+        } else {
+            for p in self.pending.drain(..) {
+                self.out.refuse(p.req, wal, WalError::Dead);
+            }
+        }
+    }
+
+    /// Take one shard's checkpoint: quiesce its writers (xlock, then the
+    /// commit lock — the same order 2PC uses), force the log tail out so
+    /// the snapshot and the durable log agree on exactly which
+    /// transactions are included, snapshot via one RO transaction (the
+    /// SI-HTM fast path), and install atomically. A chaos panic inside the
+    /// snapshot skips this round (the trigger re-fires) after replacing
+    /// the poisoned handle.
+    fn checkpoint(&mut self, wal: &WalSet, s: usize) {
+        let shared = self.shared;
+        let _x = shared.shards[s].xlock.lock();
+        let _cl = wal.commit_lock(s);
+        // Re-check under the locks: another executor serving this shard may
+        // have just checkpointed it.
+        if !wal.wants_checkpoint(s) || wal.flush(s).is_err() {
             return;
         }
-    };
-    let t0 = Instant::now();
-    let _guards: Vec<_> = set.iter().map(|&s| shared.shards[s].xlock.lock()).collect();
-    out.twopc.ro_multi += 1;
-    let inflight = Cell::new(None::<usize>);
-    let attempt = catch_unwind(AssertUnwindSafe(|| match &req.op {
-        KvOp::MultiGet { keys } => {
-            let mut vals: Vec<Option<u64>> = vec![None; keys.len()];
-            for &s in &set {
-                inflight.set(Some(s));
-                let store = &domains[s].1;
-                let map = &shared.map;
-                threads[s].exec(TxKind::ReadOnly, &mut |tx| {
-                    for (i, &k) in keys.iter().enumerate() {
-                        if map.shard_of(k) == s {
-                            vals[i] = store.get_in(tx, k)?;
-                        }
+        let (store, thread) = (&self.domains[s].1, &mut self.threads[s]);
+        match catch_unwind(AssertUnwindSafe(|| store.snapshot(thread))) {
+            Ok(entries) => {
+                let _ = wal.install_checkpoint(s, &entries);
+            }
+            Err(_) => self.reset(s),
+        }
+    }
+
+    /// Serve one update request in its own update transaction.
+    ///
+    /// With a WAL, the shard's commit lock spans execute + append, so the
+    /// log is a commit-ordered journal of post-images: on SI-HTM the append
+    /// happens after the pre-commit quiescence wait — strictly outside the
+    /// hardware transaction (the DUMBO discipline) — and on the fall-back
+    /// paths after the SGL/commit-lock serialization point. In Sync mode the
+    /// reply is withheld on `pending` until the record's fsync lands.
+    ///
+    /// Procedure calls additionally take the shard's [`XLock`] for the
+    /// duration of the serve. A procedure read-modify-writes keys that
+    /// cross-shard call legs may also touch, and a rolled-back cross-shard
+    /// call restores pre-images — admissible only if no acked local call
+    /// committed in between. Mutual exclusion against in-flight 2PC on this
+    /// shard (same lock, acquired before the commit lock, matching the
+    /// coordinator's order) closes that window; plain single-key ops keep
+    /// their lock-free path (their blind/delta semantics never needed it).
+    fn serve_update(&mut self, s: usize, req: Request) {
+        let (domains, shared) = (self.domains, self.shared);
+        let wal = shared.wal.as_deref();
+        if let Some(w) = wal {
+            // A dead log (simulated power loss) can make nothing durable,
+            // so accepting updates would hand out un-loggable acks; a
+            // degraded shard sheds updates with the typed outcome (reads
+            // still serve; the maintenance probe rejoins the shard when its
+            // medium heals).
+            if let Err(why) = w.admits(s) {
+                self.out.refuse(req, w, why);
+                return;
+            }
+        }
+        let procs = shared.procs.as_deref();
+        let store = &domains[s].1;
+        let (thread, scratch, writes) =
+            (&mut self.threads[s], &mut self.scratches[s], &mut self.writes);
+        let aborts_before = thread.stats().aborts();
+        let t0 = Instant::now();
+        let xguard = matches!(req.op, KvOp::Call { .. }).then(|| shared.shards[s].xlock.lock());
+        let guard = wal.map(|w| w.commit_lock(s));
+        writes.clear();
+        let reply = match &req.op {
+            KvOp::Put { key, val } => {
+                let changed = store.put(thread, scratch, *key, *val);
+                writes.push((*key, Some(*val)));
+                KvReply::Done { changed }
+            }
+            KvOp::Delete { key } => {
+                let changed = store.delete(thread, *key);
+                writes.push((*key, None));
+                KvReply::Done { changed }
+            }
+            KvOp::Cas { key, expect, new } => {
+                match store.cas(thread, scratch, *key, *expect, *new) {
+                    Ok(()) => {
+                        writes.push((*key, Some(*new)));
+                        KvReply::CasOk
                     }
-                    Ok(())
-                });
-            }
-            KvReply::Values(vals)
-        }
-        KvOp::ScanPrefix { .. } | KvOp::ScanRange { .. } => {
-            let (from, to, limit) = match &req.op {
-                KvOp::ScanPrefix { prefix, shift, limit } => {
-                    let (f, t) = KvStore::prefix_range(*prefix, *shift);
-                    (f, t, *limit)
+                    // A failed CAS committed nothing: no record, immediate ack.
+                    Err(observed) => KvReply::CasFail(observed),
                 }
-                KvOp::ScanRange { from, to, limit } => (*from, *to, *limit),
-                _ => unreachable!(),
-            };
-            // Merge the per-shard scans into ONE key-ordered result cut
-            // at the client's limit. Each shard is scanned with the full
-            // limit (any one of them might hold the first `limit`
-            // matches); summing per-shard-limited views would over-count
-            // whenever the range spans a shard boundary.
-            let mut entries: Vec<(u64, u64)> = Vec::new();
-            for &s in &set {
-                inflight.set(Some(s));
-                let store = &domains[s].1;
-                let start = entries.len();
-                threads[s].exec(TxKind::ReadOnly, &mut |tx| {
-                    entries.truncate(start); // idempotent across retries
-                    store.scan_range_entries_in(tx, from, to, limit, &mut |k, v| {
-                        entries.push((k, v));
-                    })?;
-                    Ok(())
-                });
             }
-            // Under range partitioning ascending shards already yield
-            // ascending keys (the sort is a linear no-op pass); hash
-            // partitioning interleaves and genuinely needs it.
-            entries.sort_unstable_by_key(|&(k, _)| k);
-            entries.truncate(limit.min(usize::MAX as u64) as usize);
-            let count = entries.len() as u64;
-            let sum = entries.iter().fold(0u64, |a, &(_, v)| a.wrapping_add(v));
-            KvReply::Scan { count, sum }
-        }
-        KvOp::Call { proc, args, .. } => {
-            // Read-only cross-shard call: one RO leg per participant
-            // under the xlocks; leg outputs concatenate in ascending
-            // shard order, like update legs.
-            match shared.procs.as_deref().and_then(|r| r.get(*proc)) {
+            KvOp::MultiPut { pairs } => {
+                store.multi_put(thread, scratch, pairs);
+                writes.extend(pairs.iter().map(|&(k, v)| (k, Some(v))));
+                KvReply::Done { changed: true }
+            }
+            KvOp::MultiAdd { deltas } => {
+                // Add post-images depend on the read values, so they must be
+                // captured inside the transaction body (reset per attempt).
+                if wal.is_some() {
+                    store.multi_add_logged(thread, scratch, deltas, writes);
+                } else {
+                    store.multi_add(thread, scratch, deltas);
+                }
+                KvReply::Done { changed: true }
+            }
+            KvOp::Call { proc, args, .. } => match procs.and_then(|r| r.get(*proc)) {
                 None => KvReply::CallAborted,
                 Some(p) => {
-                    let below = shared.procs.as_deref().map(|r| r.replicated_below()).unwrap_or(0);
-                    let mut outs: Vec<u64> = Vec::new();
-                    let mut user = false;
-                    for &s in &set {
-                        inflight.set(Some(s));
-                        let store = &domains[s].1;
-                        let scratch = &mut scratches[s];
-                        let mut leg: Vec<u64> = Vec::new();
-                        let mut user_leg = false;
-                        threads[s].exec(TxKind::ReadOnly, &mut |tx| {
-                            leg.clear();
-                            user_leg = false;
-                            let mut ctx = ProcCtx::new(
-                                store,
-                                tx,
-                                scratch,
-                                Some(&shared.map),
-                                s,
-                                false,
-                                below,
-                                None,
-                                None,
-                            );
-                            match p.run(&mut ctx, args) {
-                                Ok(v) => {
-                                    leg = v;
-                                    Ok(())
-                                }
-                                Err(Abort::User) => {
-                                    user_leg = true;
-                                    Ok(())
-                                }
-                                Err(e) => Err(e),
-                            }
-                        });
-                        if user_leg {
-                            user = true;
-                            break;
+                    let scope = Scope::single(s, procs.map_or(0, |r| r.replicated_below()));
+                    let capture = wal.is_some();
+                    let mut outv: Vec<u64> = Vec::new();
+                    let outcome = thread.exec(TxKind::Update, &mut |tx| {
+                        // Post-images depend on in-transaction reads: reset
+                        // the capture per attempt, like MultiAdd.
+                        scratch.reset();
+                        writes.clear();
+                        outv.clear();
+                        let w = capture.then_some(&mut *writes);
+                        outv =
+                            p.run(&mut ProcCtx::new(store, tx, scratch, scope, w, None), args)?;
+                        Ok(())
+                    });
+                    match outcome {
+                        Outcome::Committed => {
+                            scratch.refill(store.alloc());
+                            KvReply::CallOk(outv)
                         }
-                        outs.extend(leg);
-                    }
-                    if user {
-                        KvReply::CallAborted
-                    } else {
-                        KvReply::CallOk(outs)
+                        Outcome::UserAborted => {
+                            // Nothing committed: no record, immediate ack.
+                            writes.clear();
+                            KvReply::CallAborted
+                        }
                     }
                 }
+            },
+            ro => unreachable!("read-only op {ro:?} in the update lane"),
+        };
+        let appended = match wal {
+            Some(w) if !writes.is_empty() => {
+                w.crash_point(CrashSite::AfterCommit);
+                Some(w.append(s, Append::Write(writes)))
             }
+            _ => None,
+        };
+        drop(guard);
+        drop(xguard);
+        let service = t0.elapsed();
+        // Abort-aware pacing: a serve that needed backend retries backs the
+        // executor off before the next pop; a clean one resets the ceiling.
+        if thread.stats().aborts() > aborts_before {
+            self.cm.backoff(AbortReason::Conflict);
+        } else {
+            self.cm.reset();
         }
-        up => unreachable!("update op {up:?} in the cross-shard read-only lane"),
-    }));
-    for &s in &set {
-        out.shard_served[s] += 1;
+        match (wal, appended) {
+            (Some(w), Some(Ok(lsn))) if w.mode() == DurabilityMode::Sync => {
+                self.pending.push(PendingAck { req, reply, service, lsn, shard: s });
+            }
+            // Committed in memory, but the record never made it: the log
+            // died before the fsync (shed, never acked — exactly what
+            // recovery shows) or the shard degraded between admission and
+            // append (the typed outcome, un-acked: indeterminate for the
+            // client, like any timeout).
+            (Some(w), Some(Err(why))) if w.mode() == DurabilityMode::Sync => {
+                self.out.refuse(req, w, why);
+            }
+            _ => self.out.finish(req, reply, service),
+        }
     }
-    match attempt {
-        Ok(reply) => {
-            let service = t0.elapsed();
-            finish(req, reply, service, out);
-        }
-        Err(_) => {
-            if let Some(s) = inflight.get() {
-                threads[s] = domains[s].0.register_thread();
-                out.handle_resets += 1;
+
+    /// Serve shard `s`'s popped batch of read-only requests in ONE
+    /// read-only transaction (the SI-HTM RO fast path: unbounded, never
+    /// aborts, one shared snapshot for the entire batch). Read-only
+    /// procedure calls ride in the same transaction — a typed workload's
+    /// whole read mix shares the batch's snapshot and its single
+    /// quiescence interaction.
+    fn serve_ro_batch(&mut self, s: usize) {
+        let procs = self.shared.procs.as_deref();
+        let scope = Scope::single(s, procs.map_or(0, |r| r.replicated_below()));
+        let store = &self.domains[s].1;
+        let (thread, scratch, batch) =
+            (&mut self.threads[s], &mut self.scratches[s], &mut self.batch);
+        let aborts_before = thread.stats().aborts();
+        let t0 = Instant::now();
+        let mut replies: Vec<KvReply> = Vec::with_capacity(batch.len());
+        thread.exec(TxKind::ReadOnly, &mut |tx| {
+            replies.clear(); // idempotent across retries on fallback paths
+            for req in batch.iter() {
+                let r = match &req.op {
+                    KvOp::Get { key } => KvReply::Value(store.get_in(tx, *key)?),
+                    KvOp::MultiGet { keys } => {
+                        let mut vals = Vec::with_capacity(keys.len());
+                        for &k in keys {
+                            vals.push(store.get_in(tx, k)?);
+                        }
+                        KvReply::Values(vals)
+                    }
+                    KvOp::ScanPrefix { prefix, shift, limit } => {
+                        let (count, sum) = store.scan_prefix_in(tx, *prefix, *shift, *limit)?;
+                        KvReply::Scan { count, sum }
+                    }
+                    KvOp::ScanRange { from, to, limit } => {
+                        let (count, sum) = store.scan_range_in(tx, *from, *to, *limit)?;
+                        KvReply::Scan { count, sum }
+                    }
+                    KvOp::Call { proc, args, .. } => match procs.and_then(|r| r.get(*proc)) {
+                        None => KvReply::CallAborted,
+                        Some(p) => {
+                            let mut ctx = ProcCtx::new(store, tx, scratch, scope, None, None);
+                            match p.run(&mut ctx, args) {
+                                Ok(outs) => KvReply::CallOk(outs),
+                                // A user abort in a read-only call answers
+                                // just that request; the batch's snapshot
+                                // (and the other requests) are unaffected.
+                                Err(Abort::User) => KvReply::CallAborted,
+                                Err(e) => return Err(e),
+                            }
+                        }
+                    },
+                    up => unreachable!("update op {up:?} in the read-only lane"),
+                };
+                replies.push(r);
             }
-            out.shed += 1;
-            drop(req); // answered Shed
+            Ok::<(), Abort>(())
+        });
+        let service = t0.elapsed();
+        let out = &mut self.out;
+        out.ro_batches += 1;
+        out.ro_batch_ops += batch.len() as u64;
+        out.max_ro_batch = out.max_ro_batch.max(batch.len() as u64);
+        out.ro_batch_aborts += thread.stats().aborts() - aborts_before;
+        for (req, reply) in batch.drain(..).zip(replies) {
+            out.finish(req, reply, service);
+        }
+    }
+
+    /// Serve one cross-shard update — a `MultiPut`, `MultiAdd` or `Call`
+    /// — through [`coordinate`], the one 2PC coordinator (DESIGN.md §11.2,
+    /// §12.3). A commit answers `Done` or `CallOk`; a call leg's user
+    /// abort answers `CallAborted` (a served semantic reply, not a 2PC
+    /// abort). A failed protocol is fully rolled back and answered with the
+    /// typed `Unavailable` when a participant's log degraded, `Shed`
+    /// otherwise — never half-applied.
+    fn serve_xshard(&mut self, req: Request) {
+        let shared = self.shared;
+        let wal = shared.wal.as_deref();
+        let Route::Cross(set) = shared.map.route(&req.op) else {
+            unreachable!("only cross-shard requests reach the xqueue")
+        };
+        if let Some(w) = wal {
+            // 2PC never starts against a dead log or a degraded
+            // participant: one shard's bad disk must not burn leg and
+            // rollback work on the others.
+            let refused = if !w.alive() {
+                Some(WalError::Dead)
+            } else {
+                set.iter().any(|&s| !w.health(s).writable()).then_some(WalError::Unavailable)
+            };
+            if let Some(why) = refused {
+                self.out.refuse(req, w, why);
+                return;
+            }
+        }
+        let procs = shared.procs.as_deref();
+        let legs: Vec<Leg<'_>> = match &req.op {
+            KvOp::MultiPut { pairs } => {
+                group_puts(&shared.map, &set, pairs).into_iter().map(Leg::Update).collect()
+            }
+            KvOp::MultiAdd { deltas } => {
+                group_adds(&shared.map, &set, deltas).into_iter().map(Leg::Update).collect()
+            }
+            KvOp::Call { proc, args, .. } => {
+                let Some(p) = procs.and_then(|r| r.get(*proc)) else {
+                    self.out.finish(req, KvReply::CallAborted, Duration::ZERO);
+                    return;
+                };
+                let below = procs.map_or(0, |r| r.replicated_below());
+                let leg =
+                    |s| Leg::Call { proc: &**p, args, scope: Scope::leg(&shared.map, s, below) };
+                set.iter().map(|&s| leg(s)).collect()
+            }
+            up => unreachable!("non-update op {up:?} in the cross-shard update lane"),
+        };
+        let t0 = Instant::now();
+        let mut twopc = TwoPcStats::default();
+        let outcome = coordinate(self, &set, &legs, wal, &mut twopc);
+        self.out.twopc += &twopc;
+        for &s in &set {
+            self.out.shard_served[s] += 1;
+        }
+        match outcome {
+            // Sync-on-ack already holds: the decision fsync is the
+            // durability point, so the reply needs no pending delay.
+            XOutcome::Committed(outs) => {
+                let reply = match req.op {
+                    KvOp::Call { .. } => KvReply::CallOk(outs),
+                    _ => KvReply::Done { changed: true },
+                };
+                self.out.finish(req, reply, t0.elapsed());
+            }
+            XOutcome::UserAborted => self.out.finish(req, KvReply::CallAborted, t0.elapsed()),
+            // A participant's log degraded mid-protocol (it won the race
+            // against the admission check): the same typed refusal.
+            XOutcome::Failed { degraded: true } => {
+                self.out.refuse(req, wal.expect("degraded implies a WAL"), WalError::Unavailable);
+            }
+            // Dead log or caught panic: the drop backstop answers Shed.
+            XOutcome::Failed { degraded: false } => self.out.shed += 1,
+        }
+    }
+
+    /// Serve one cross-shard read-only request: per-shard read-only
+    /// transactions under the participants' xlocks (so no half-applied
+    /// cross-shard update can be observed). Point reads merge positionally;
+    /// scans merge into one globally key-ordered result.
+    fn serve_xshard_ro(&mut self, req: Request) {
+        let shared = self.shared;
+        let Route::Cross(set) = shared.map.route(&req.op) else {
+            unreachable!("only cross-shard requests reach the xqueue")
+        };
+        let t0 = Instant::now();
+        let _guards: Vec<_> = set.iter().map(|&s| shared.shards[s].xlock.lock()).collect();
+        self.out.twopc.ro_multi += 1;
+        let mut inflight = None;
+        let (domains, threads, scratches) = (self.domains, &mut self.threads, &mut self.scratches);
+        let attempt = catch_unwind(AssertUnwindSafe(|| match &req.op {
+            KvOp::MultiGet { keys } => {
+                let mut vals: Vec<Option<u64>> = vec![None; keys.len()];
+                for &s in &set {
+                    inflight = Some(s);
+                    let store = &domains[s].1;
+                    let map = &shared.map;
+                    threads[s].exec(TxKind::ReadOnly, &mut |tx| {
+                        for (i, &k) in keys.iter().enumerate() {
+                            if map.shard_of(k) == s {
+                                vals[i] = store.get_in(tx, k)?;
+                            }
+                        }
+                        Ok(())
+                    });
+                }
+                KvReply::Values(vals)
+            }
+            KvOp::ScanPrefix { .. } | KvOp::ScanRange { .. } => {
+                let (from, to, limit) = match &req.op {
+                    KvOp::ScanPrefix { prefix, shift, limit } => {
+                        let (f, t) = KvStore::prefix_range(*prefix, *shift);
+                        (f, t, *limit)
+                    }
+                    KvOp::ScanRange { from, to, limit } => (*from, *to, *limit),
+                    _ => unreachable!(),
+                };
+                // Merge the per-shard scans into ONE key-ordered result cut
+                // at the client's limit. Each shard is scanned with the full
+                // limit (any one of them might hold the first `limit`
+                // matches); summing per-shard-limited views would over-count
+                // whenever the range spans a shard boundary.
+                let mut entries: Vec<(u64, u64)> = Vec::new();
+                for &s in &set {
+                    inflight = Some(s);
+                    let store = &domains[s].1;
+                    let start = entries.len();
+                    threads[s].exec(TxKind::ReadOnly, &mut |tx| {
+                        entries.truncate(start); // idempotent across retries
+                        store.scan_range_entries_in(tx, from, to, limit, &mut |k, v| {
+                            entries.push((k, v));
+                        })?;
+                        Ok(())
+                    });
+                }
+                // Under range partitioning ascending shards already yield
+                // ascending keys (the sort is a linear no-op pass); hash
+                // partitioning interleaves and genuinely needs it.
+                entries.sort_unstable_by_key(|&(k, _)| k);
+                entries.truncate(limit.min(usize::MAX as u64) as usize);
+                let count = entries.len() as u64;
+                let sum = entries.iter().fold(0u64, |a, &(_, v)| a.wrapping_add(v));
+                KvReply::Scan { count, sum }
+            }
+            KvOp::Call { proc, args, .. } => {
+                // Read-only cross-shard call: one RO leg per participant
+                // under the xlocks; leg outputs concatenate in ascending
+                // shard order, like update legs.
+                let procs = shared.procs.as_deref();
+                let Some(p) = procs.and_then(|r| r.get(*proc)) else {
+                    return KvReply::CallAborted;
+                };
+                let below = procs.map_or(0, |r| r.replicated_below());
+                let mut outs: Vec<u64> = Vec::new();
+                for &s in &set {
+                    inflight = Some(s);
+                    let store = &domains[s].1;
+                    let scratch = &mut scratches[s];
+                    let scope = Scope::leg(&shared.map, s, below);
+                    let mut leg: Option<Vec<u64>> = None;
+                    threads[s].exec(TxKind::ReadOnly, &mut |tx| {
+                        let mut ctx = ProcCtx::new(store, tx, scratch, scope, None, None);
+                        leg = match p.run(&mut ctx, args) {
+                            Ok(v) => Some(v),
+                            Err(Abort::User) => None,
+                            Err(e) => return Err(e),
+                        };
+                        Ok(())
+                    });
+                    match leg {
+                        Some(v) => outs.extend(v),
+                        None => return KvReply::CallAborted,
+                    }
+                }
+                KvReply::CallOk(outs)
+            }
+            up => unreachable!("update op {up:?} in the cross-shard read-only lane"),
+        }));
+        for &s in &set {
+            self.out.shard_served[s] += 1;
+        }
+        match attempt {
+            Ok(reply) => self.out.finish(req, reply, t0.elapsed()),
+            Err(_) => {
+                if let Some(s) = inflight {
+                    self.reset(s);
+                }
+                self.out.shed += 1; // the drop backstop answers Shed
+            }
         }
     }
 }
 
-/// Record latency and answer the client.
-fn finish(req: Request, reply: KvReply, service: Duration, out: &mut ExecOut) {
-    let e2e = req.enqueued.elapsed();
-    let cl = &mut out.classes[req.op.class().index()];
-    cl.e2e.record(e2e);
-    cl.service.record(service);
-    if let KvOp::Call { proc, .. } = &req.op {
-        if let Some(pl) = out.procs.iter_mut().find(|pl| pl.proc == *proc) {
-            pl.e2e.record(e2e);
-            pl.service.record(service);
+impl<'a, B: TmBackend> Participants<'a> for Executor<'a, B> {
+    fn part(&mut self, s: usize) -> ShardPart<'_> {
+        ShardPart {
+            store: &self.domains[s].1,
+            thread: &mut self.threads[s],
+            scratch: &mut self.scratches[s],
         }
     }
-    req.slot.fill(reply);
-    out.served += 1;
-    // `req` drops here with the slot already filled: the backstop no-ops.
+
+    /// Replace a backend thread handle (and its scratch) after a caught
+    /// panic left it mid-transaction: dropping the old handle runs the
+    /// backend's unwind cleanup (abort in-flight tx, release state-array
+    /// slot / SGL), and the fresh registration starts clean.
+    fn reset(&mut self, s: usize) {
+        self.threads[s] = self.domains[s].0.register_thread();
+        self.scratches[s] = self.domains[s].1.new_batch_scratch(self.scratch_keys);
+        self.out.handle_resets += 1;
+    }
+
+    fn xlock(&self, s: usize) -> &'a XLock {
+        &self.shared.shards[s].xlock
+    }
 }
 
 #[cfg(test)]
@@ -2271,12 +1721,16 @@ mod tests {
     }
 
     fn proc_pipeline(shards: usize, executors: usize) -> Pipeline<SiHtm> {
+        // Each executor pre-sizes a write scratch of `PROC_WRITE_MAX`
+        // splits per shard (≈ 37 k words of arena): two executors would
+        // exhaust a 64 k-word arena and die at start-up.
+        let words = 1 << 18;
         let map = ShardMap::range(shards, 64);
         let domains = build_domains(
             &map,
-            |_| SiHtm::with_defaults(1 << 16),
+            |_| SiHtm::with_defaults(words as usize),
             0,
-            1 << 16,
+            words,
             (0..64 * shards as u64).map(|k| (k, k)),
         );
         let cfg = PipelineConfig { executors, ..PipelineConfig::quick() };
@@ -2348,8 +1802,9 @@ mod tests {
     fn counting_hook(fired: &Arc<AtomicU64>, seen: &Arc<Mutex<Option<KvReply>>>) -> FillHook {
         let (fired, seen) = (fired.clone(), seen.clone());
         Box::new(move |reply| {
-            fired.fetch_add(1, Ordering::SeqCst);
+            // Publish the reply before the count a waiting test polls on.
             *seen.lock().unwrap() = Some(reply);
+            fired.fetch_add(1, Ordering::SeqCst);
         })
     }
 

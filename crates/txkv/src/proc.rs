@@ -19,9 +19,10 @@
 //!   must not need data read on another shard: everything a leg writes
 //!   is derived from `args` plus its own local reads (replicated tables
 //!   below [`ProcRegistry::replicated_below`] read locally everywhere).
-//!   Each committed leg's pre-image is captured in-transaction, so an
-//!   incomplete call is compensated (live or at recovery) by restoring
-//!   images — the `XUpdate::Put` undo discipline of DESIGN.md §11/§12.
+//!   The legs run through [`crate::shard::coordinate`], the same
+//!   coordinator as a cross-shard `MultiPut`: each leg's pre-image is
+//!   captured in-transaction, so an incomplete call is compensated (live
+//!   or at recovery) by restoring images (DESIGN.md §11.2, §12.3).
 //! * **Read-only** (`read_only() == true`): batched with the other RO
 //!   requests into one snapshot transaction — on SI-HTM the unbounded,
 //!   never-aborting RO fast path.
@@ -168,6 +169,32 @@ impl std::fmt::Debug for ProcRegistry {
     }
 }
 
+/// Which keys a [`ProcCtx`] owns: the shard it runs on, the replicated
+/// prefix, and — for one leg of a cross-shard call — the map that marks
+/// every other shard's keys foreign.
+#[derive(Debug, Clone, Copy)]
+pub struct Scope<'a> {
+    /// `None`: the whole call runs in this one transaction, so every key
+    /// is local.
+    map: Option<&'a ShardMap>,
+    shard: usize,
+    /// Keys below this are replicated into every shard: local to all
+    /// legs, never written ([`ProcRegistry::with_replicated_below`]).
+    replicated_below: u64,
+}
+
+impl<'a> Scope<'a> {
+    /// A call that runs whole on `shard`.
+    pub fn single(shard: usize, replicated_below: u64) -> Self {
+        Scope { map: None, shard, replicated_below }
+    }
+
+    /// Shard `shard`'s leg of a cross-shard call.
+    pub fn leg(map: &'a ShardMap, shard: usize, replicated_below: u64) -> Self {
+        Scope { map: Some(map), shard, replicated_below }
+    }
+}
+
 /// The execution context the pipeline hands a procedure leg: the shard's
 /// store and transaction, plus optional pre-/post-image capture. Built
 /// by the pipeline; [`ProcCtx::new`] is public so tests can drive a
@@ -176,11 +203,7 @@ pub struct ProcCtx<'a> {
     store: &'a KvStore,
     tx: &'a mut dyn Tx,
     scratch: &'a mut NodeScratch,
-    map: Option<&'a ShardMap>,
-    shard: usize,
-    /// Whole call runs in this one transaction: everything is local.
-    single: bool,
-    replicated_below: u64,
+    scope: Scope<'a>,
     /// WAL post-image capture (update legs under durability).
     writes: Option<&'a mut Writes>,
     /// 2PC pre-image capture (cross-shard legs): first-write-wins per
@@ -189,36 +212,43 @@ pub struct ProcCtx<'a> {
 }
 
 impl<'a> ProcCtx<'a> {
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         store: &'a KvStore,
         tx: &'a mut dyn Tx,
         scratch: &'a mut NodeScratch,
-        map: Option<&'a ShardMap>,
-        shard: usize,
-        single: bool,
-        replicated_below: u64,
+        scope: Scope<'a>,
         writes: Option<&'a mut Writes>,
         undo: Option<&'a mut UndoImage>,
     ) -> Self {
-        ProcCtx { store, tx, scratch, map, shard, single, replicated_below, writes, undo }
+        ProcCtx { store, tx, scratch, scope, writes, undo }
     }
 
     /// The shard this leg runs on.
     pub fn shard(&self) -> usize {
-        self.shard
+        self.scope.shard
     }
 }
 
 impl KvTx for ProcCtx<'_> {
     fn get(&mut self, key: u64) -> Result<Option<u64>, Abort> {
-        debug_assert!(self.is_local(key), "leg on shard {} read foreign key {key:#x}", self.shard);
+        debug_assert!(
+            self.is_local(key),
+            "leg on shard {} read foreign key {key:#x}",
+            self.scope.shard
+        );
         self.store.get_in(self.tx, key)
     }
 
     fn put(&mut self, key: u64, val: u64) -> Result<(), Abort> {
-        debug_assert!(self.is_local(key), "leg on shard {} wrote foreign key {key:#x}", self.shard);
-        debug_assert!(key >= self.replicated_below, "procedure wrote replicated key {key:#x}");
+        debug_assert!(
+            self.is_local(key),
+            "leg on shard {} wrote foreign key {key:#x}",
+            self.scope.shard
+        );
+        debug_assert!(
+            key >= self.scope.replicated_below,
+            "procedure wrote replicated key {key:#x}"
+        );
         if let Some(undo) = self.undo.as_deref_mut() {
             if !undo.iter().any(|&(k, _)| k == key) {
                 let old = self.store.get_in(self.tx, key)?;
@@ -233,8 +263,15 @@ impl KvTx for ProcCtx<'_> {
     }
 
     fn delete(&mut self, key: u64) -> Result<bool, Abort> {
-        debug_assert!(self.is_local(key), "leg on shard {} wrote foreign key {key:#x}", self.shard);
-        debug_assert!(key >= self.replicated_below, "procedure wrote replicated key {key:#x}");
+        debug_assert!(
+            self.is_local(key),
+            "leg on shard {} wrote foreign key {key:#x}",
+            self.scope.shard
+        );
+        debug_assert!(
+            key >= self.scope.replicated_below,
+            "procedure wrote replicated key {key:#x}"
+        );
         if let Some(undo) = self.undo.as_deref_mut() {
             if !undo.iter().any(|&(k, _)| k == key) {
                 let old = self.store.get_in(self.tx, key)?;
@@ -270,9 +307,12 @@ impl KvTx for ProcCtx<'_> {
         debug_assert!(
             n == 0 || (self.is_local(from) && self.is_local(from + (n - 1))),
             "leg on shard {} wrote a foreign run at {from:#x}",
-            self.shard
+            self.scope.shard
         );
-        debug_assert!(from >= self.replicated_below, "procedure wrote replicated key {from:#x}");
+        debug_assert!(
+            from >= self.scope.replicated_below,
+            "procedure wrote replicated key {from:#x}"
+        );
         let (mut undo, mut writes) = (self.undo.as_deref_mut(), self.writes.as_deref_mut());
         self.store.update_run_in(self.tx, from, n, &mut |key, old| {
             let new = f(key, old);
@@ -289,13 +329,8 @@ impl KvTx for ProcCtx<'_> {
     }
 
     fn is_local(&self, key: u64) -> bool {
-        if self.single || key < self.replicated_below {
-            return true;
-        }
-        match self.map {
-            Some(map) => map.shard_of(key) == self.shard,
-            None => true,
-        }
+        let Scope { map, shard, replicated_below } = self.scope;
+        key < replicated_below || map.is_none_or(|m| m.shard_of(key) == shard)
     }
 }
 

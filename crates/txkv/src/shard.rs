@@ -14,24 +14,32 @@
 //! ## Cross-shard transactions
 //!
 //! A multi-key update whose keys span shards cannot run as one backend
-//! transaction — there is no backend that sees both memories. The
-//! coordinator (any executor) runs a two-phase protocol over per-shard
-//! transactions, under per-shard coordination locks ([`XLock`]) acquired
-//! in ascending shard order (deadlock-free):
+//! transaction — there is no backend that sees both memories.
+//! [`coordinate`] is the one two-phase protocol every cross-shard update
+//! runs through: the pipeline's `MultiPut`, `MultiAdd` and `Call`
+//! requests, and tm-check's `xshard` and `recovery` scenarios. It takes
+//! the participants' coordination locks ([`XLock`]) in ascending shard
+//! order (deadlock-free) and then:
 //!
-//! 1. **prepare** — one read-only transaction per participant records an
-//!    undo image of the op's keys;
-//! 2. **apply** — one update transaction per participant applies its
-//!    part. If a participant escalated to its serialized fall-back path
-//!    (observable as an `sgl_acquisitions` delta), the remaining
-//!    participants are pinned to [`TmThread::exec_escalated`] — once the
+//! 1. **legs** — one [`Leg`] per participant, in shard order, each one
+//!    update transaction under the shard's commit lock that applies the
+//!    participant's part and captures in-transaction its pre-image (the
+//!    undo image, first write wins) and post-image. With a WAL the leg's
+//!    `XBegin` (participant set + undo image) and `XApply` (post-image)
+//!    are appended together, the commit lock is dropped, and the pair is
+//!    flushed before the next leg runs. If a leg escalated to its
+//!    serialized fall-back path (an `sgl_acquisitions` delta), the
+//!    remaining legs are pinned to [`TmThread::exec_escalated`] — once the
 //!    protocol is half-applied, optimism only risks more mid-protocol
 //!    aborts.
+//! 2. **decision** — an `XDecide` goes to every participant; the first
+//!    durable one commits the transaction everywhere at recovery.
 //!
-//! If apply unwinds (the chaos injector panics inside a transaction
-//! body), the caller compensates: already-applied participants are rolled
-//! back from the undo images ([`undo_parts`]), so an accepted cross-shard
-//! transfer either fully applies or fully aborts.
+//! If a leg unwinds (the chaos injector panics inside a transaction
+//! body), a call leg returns [`Abort::User`], or the log refuses a record
+//! before any decision is durable, the committed legs are rolled back and
+//! each rollback is logged as one `XAbort`, so an accepted cross-shard
+//! update either fully applies or fully aborts.
 //!
 //! ## What the locks do and don't serialize
 //!
@@ -45,13 +53,18 @@
 //! shard (a conserving local transfer keeps its shard's total fixed, so
 //! the audit's per-shard sums still add up). Undo for `MultiAdd` is
 //! delta-form (apply the negated deltas), which commutes with concurrent
-//! local adds; undo for `MultiPut` restores prepare-time images, which is
+//! local adds; undo for `MultiPut` restores the leg's pre-images, which is
 //! admissible for blind writes (a concurrent racing blind write to the
-//! same key has no serialization-order claim either way).
+//! same key has no serialization-order claim either way). Local calls
+//! take their shard's `XLock`, so nothing commits between a call leg and
+//! its image-restoring rollback.
 
+use crate::durability::{Append, CrashSite, WalError, WalSet, Writes};
+use crate::proc::{KvTx, ProcCtx, Procedure, Scope};
 use crate::store::{KvOp, KvStore};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use tm_api::{Outcome, TmThread, TxKind};
+use tm_api::{Abort, Outcome, TmThread, TwoPcStats, Tx, TxKind};
 use txmem::hooks::{self, Event};
 use workloads::btree::NodeScratch;
 
@@ -243,7 +256,8 @@ impl Drop for XGuard<'_> {
     }
 }
 
-/// One participant's slice of a cross-shard update.
+/// One participant's slice of a cross-shard `MultiPut`/`MultiAdd`, as
+/// its `XBegin` record carries it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum XUpdate {
     /// Blind writes (`MultiPut` keys owned by this shard).
@@ -252,146 +266,297 @@ pub enum XUpdate {
     Add(Vec<(u64, i64)>),
 }
 
-impl XUpdate {
-    fn keys(&self) -> Box<dyn Iterator<Item = u64> + '_> {
-        match self {
-            XUpdate::Put(pairs) => Box::new(pairs.iter().map(|&(k, _)| k)),
-            XUpdate::Add(deltas) => Box::new(deltas.iter().map(|&(k, _)| k)),
-        }
-    }
-}
-
-/// Per-key undo image recorded at prepare (`None` = key was absent).
+/// A leg's pre-image, one entry per key it wrote, first write wins
+/// (`None` = the key was absent).
 pub type UndoImage = Vec<(u64, Option<u64>)>;
 
-/// Borrowed execution context for one participant shard. The coordinator
-/// owns a registered thread handle and a write scratch *per shard*; the
-/// 2PC functions below only see them through this view, so the pipeline
-/// (monomorphic backend handles) and the `tm-check` scenario (boxed
-/// handles) share the protocol implementation.
-pub struct ShardPart<'a> {
-    pub store: &'a KvStore,
-    pub thread: &'a mut dyn TmThread,
-    pub scratch: &'a mut NodeScratch,
+/// One participant's part of a cross-shard update.
+pub enum Leg<'a> {
+    /// This shard's slice of a `MultiPut` or `MultiAdd`.
+    Update(XUpdate),
+    /// This shard's run of a procedure body; `scope` marks the other
+    /// shards' keys foreign.
+    Call { proc: &'a dyn Procedure, args: &'a [u64], scope: Scope<'a> },
 }
 
-/// Phase 1 for one participant: record its undo image in one read-only
-/// transaction. Caller holds all participating [`XLock`]s and calls this
-/// once per participant, in ascending shard order.
-pub fn prepare_part(part: &mut ShardPart<'_>, upd: &XUpdate) -> UndoImage {
-    let mut undo: UndoImage = Vec::new();
-    let store = part.store;
-    part.thread.exec(TxKind::ReadOnly, &mut |tx| {
-        undo.clear(); // idempotent across fallback-path retries
-        for key in upd.keys() {
-            undo.push((key, store.get_in(tx, key)?));
-        }
-        Ok(())
-    });
-    undo
-}
+/// The update half of a call leg's `XBegin`: its undo image carries the
+/// whole rollback.
+static NO_UPDATE: XUpdate = XUpdate::Put(Vec::new());
 
-/// Phase 2 for one participant: apply its part in one update
-/// transaction. Returns `true` if this participant escalated to the
-/// serialized fall-back path during the apply (callers then pin the
-/// remaining participants by passing `escalated = true`). An unwind
-/// inside the transaction body (chaos panic) leaves this participant
-/// *not* applied — the injector only panics at transactional access
-/// points, never after the commit — so callers count a participant as
-/// applied only once this returns.
-///
-/// `writes` receives the committed post-image (captured inside the
-/// transaction body, reset per attempt) — what a durable pipeline logs
-/// as this participant's `XApply` record. Pass a scratch vec and ignore
-/// it when not logging.
-pub fn apply_part(
-    part: &mut ShardPart<'_>,
-    upd: &XUpdate,
-    escalated: bool,
-    writes: &mut Vec<(u64, Option<u64>)>,
-) -> bool {
-    let sgl_before = part.thread.stats().sgl_acquisitions;
-    let store = part.store;
-    let scratch = &mut *part.scratch;
-    let mut body = |tx: &mut dyn tm_api::Tx| {
-        scratch.reset();
-        writes.clear();
-        match upd {
-            XUpdate::Put(pairs) => {
-                for &(k, v) in pairs {
-                    store.put_in(tx, scratch, k, v)?;
-                    writes.push((k, Some(v)));
-                }
-            }
-            XUpdate::Add(deltas) => {
-                for &(k, d) in deltas {
-                    let cur = store.get_in(tx, k)?.unwrap_or(0);
-                    let v = cur.wrapping_add(d as u64);
-                    store.put_in(tx, scratch, k, v)?;
-                    writes.push((k, Some(v)));
-                }
-            }
+impl Leg<'_> {
+    fn record(&self) -> &XUpdate {
+        match self {
+            Leg::Update(upd) => upd,
+            Leg::Call { .. } => &NO_UPDATE,
         }
-        Ok(())
-    };
-    let out = if escalated {
-        part.thread.exec_escalated(&mut body)
-    } else {
-        part.thread.exec(TxKind::Update, &mut body)
-    };
-    if out == Outcome::Committed {
-        part.scratch.refill(part.store.alloc());
     }
-    part.thread.stats().sgl_acquisitions > sgl_before
-}
 
-/// Compensate one *applied* participant of an interrupted 2PC. `Add`
-/// parts undo in delta form (commutes with concurrent local adds); `Put`
-/// parts restore the prepare-time image.
-///
-/// `writes` receives the committed compensation post-image (a durable
-/// pipeline logs it as an ordinary `Write` record before the `XAbort`
-/// marker, so replay sees the rollback at its true position in commit
-/// order). Pass a scratch vec and ignore it when not logging.
-pub fn undo_part(
-    part: &mut ShardPart<'_>,
-    upd: &XUpdate,
-    undo: &UndoImage,
-    writes: &mut Vec<(u64, Option<u64>)>,
-) {
-    let store = part.store;
-    let scratch = &mut *part.scratch;
-    let out = part.thread.exec(TxKind::Update, &mut |tx| {
-        scratch.reset();
-        writes.clear();
-        match upd {
-            XUpdate::Add(deltas) => {
-                for &(k, d) in deltas {
-                    let cur = store.get_in(tx, k)?.unwrap_or(0);
-                    let v = cur.wrapping_sub(d as u64);
-                    store.put_in(tx, scratch, k, v)?;
-                    writes.push((k, Some(v)));
+    fn scope(&self, s: usize) -> Scope<'_> {
+        match self {
+            Leg::Update(_) => Scope::single(s, 0),
+            Leg::Call { scope, .. } => *scope,
+        }
+    }
+
+    fn run(&self, ctx: &mut ProcCtx<'_>) -> Result<Vec<u64>, Abort> {
+        match self {
+            Leg::Update(XUpdate::Put(pairs)) => {
+                for &(k, v) in pairs {
+                    ctx.put(k, v)?;
                 }
             }
-            XUpdate::Put(_) => {
-                for &(k, old) in undo.iter() {
+            Leg::Update(XUpdate::Add(deltas)) => {
+                for &(k, d) in deltas {
+                    let v = ctx.get(k)?.unwrap_or(0).wrapping_add(d as u64);
+                    ctx.put(k, v)?;
+                }
+            }
+            Leg::Call { proc, args, .. } => return proc.run(ctx, args),
+        }
+        Ok(Vec::new())
+    }
+
+    /// Roll the committed leg back. `Add` legs undo in delta form, which
+    /// commutes with concurrent local adds (those take no `XLock`); `Put`
+    /// and `Call` legs restore their pre-image.
+    fn undo(&self, ctx: &mut ProcCtx<'_>, image: &UndoImage) -> Result<(), Abort> {
+        match self {
+            Leg::Update(XUpdate::Add(deltas)) => {
+                for &(k, d) in deltas {
+                    let v = ctx.get(k)?.unwrap_or(0).wrapping_sub(d as u64);
+                    ctx.put(k, v)?;
+                }
+            }
+            _ => {
+                for &(k, old) in image {
                     match old {
-                        Some(v) => {
-                            store.put_in(tx, scratch, k, v)?;
-                            writes.push((k, Some(v)));
-                        }
+                        Some(v) => ctx.put(k, v)?,
                         None => {
-                            store.delete_in(tx, k)?;
-                            writes.push((k, None));
+                            ctx.delete(k)?;
                         }
                     }
                 }
             }
         }
         Ok(())
-    });
+    }
+}
+
+/// Borrowed execution context for one participant shard.
+pub struct ShardPart<'a> {
+    pub store: &'a KvStore,
+    pub thread: &'a mut dyn TmThread,
+    pub scratch: &'a mut NodeScratch,
+}
+
+/// How [`coordinate`] reaches the participants. The pipeline's executor
+/// (monomorphic backend handles) and the tm-check scenarios (boxed
+/// handles) each own a registered thread handle and a write scratch per
+/// shard, and know the shards' coordination locks.
+pub trait Participants<'x> {
+    /// Shard `s`'s store, thread handle and write scratch.
+    fn part(&mut self, s: usize) -> ShardPart<'_>;
+    /// Replace shard `s`'s thread handle and scratch after a caught panic
+    /// left them mid-transaction.
+    fn reset(&mut self, s: usize);
+    /// Shard `s`'s coordination lock.
+    fn xlock(&self, s: usize) -> &'x XLock;
+}
+
+/// How a [`coordinate`] call ended.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum XOutcome {
+    /// Every leg committed (and, with a WAL, a decision is durable); the
+    /// legs' outputs, concatenated in shard order.
+    Committed(Vec<u64>),
+    /// A call leg returned [`Abort::User`]; the committed legs were rolled
+    /// back.
+    UserAborted,
+    /// A leg unwound, or the log refused a record before any decision was
+    /// durable; the committed legs were rolled back. `degraded`: the
+    /// refusal came from a degraded shard ([`WalError::Unavailable`]).
+    Failed { degraded: bool },
+}
+
+/// A leg that committed in memory, with what rolling it back needs.
+struct Applied {
+    undo: UndoImage,
+    /// Its `XBegin` was appended, so its rollback must append an `XAbort`.
+    logged: bool,
+}
+
+/// Run `body` as one update transaction on `part` (pinned to the
+/// serialized path when `escalated`) through a [`ProcCtx`] that captures
+/// post-images into `writes` and, when given, pre-images into `undo`;
+/// both are reset per attempt.
+fn exec_leg(
+    part: &mut ShardPart<'_>,
+    scope: Scope<'_>,
+    escalated: bool,
+    writes: &mut Writes,
+    mut undo: Option<&mut UndoImage>,
+    body: &mut dyn FnMut(&mut ProcCtx<'_>) -> Result<(), Abort>,
+) -> Outcome {
+    let store = part.store;
+    let scratch = &mut *part.scratch;
+    let mut tx_body = |tx: &mut dyn Tx| {
+        scratch.reset();
+        writes.clear();
+        if let Some(undo) = undo.as_deref_mut() {
+            undo.clear();
+        }
+        body(&mut ProcCtx::new(store, tx, scratch, scope, Some(&mut *writes), undo.as_deref_mut()))
+    };
+    let out = if escalated {
+        part.thread.exec_escalated(&mut tx_body)
+    } else {
+        part.thread.exec(TxKind::Update, &mut tx_body)
+    };
     if out == Outcome::Committed {
-        part.scratch.refill(part.store.alloc());
+        part.scratch.refill(store.alloc());
+    }
+    out
+}
+
+/// Run one cross-shard update over `set` (ascending, deduplicated; one
+/// leg per shard, in the same order) by the protocol of the module docs,
+/// writing the WAL record sequence of DESIGN.md §12.3 when `wal` is
+/// given. This is the only place `XBegin`, `XApply`, `XDecide` and
+/// `XAbort` records are made.
+pub fn coordinate<'x>(
+    parts: &mut impl Participants<'x>,
+    set: &[usize],
+    legs: &[Leg<'_>],
+    wal: Option<&WalSet>,
+    stats: &mut TwoPcStats,
+) -> XOutcome {
+    debug_assert_eq!(set.len(), legs.len(), "one leg per participant");
+    let _guards: Vec<_> = set.iter().map(|&s| parts.xlock(s).lock()).collect();
+    stats.prepares += 1;
+    let xid = wal.map_or(0, |w| w.next_xid());
+    let mut applied: Vec<Applied> = Vec::with_capacity(legs.len());
+    let mut outputs: Vec<u64> = Vec::new();
+    let mut inflight = None; // the shard whose transaction was running
+    let run = catch_unwind(AssertUnwindSafe(|| -> Result<Outcome, WalError> {
+        let mut escalated = false;
+        let mut writes = Writes::new();
+        for (&s, leg) in set.iter().zip(legs) {
+            inflight = Some(s);
+            // The commit lock spans the transaction and both appends, so
+            // the XBegin/XApply pair sits at the leg's commit position.
+            let cl = wal.map(|w| w.commit_lock(s));
+            let mut part = parts.part(s);
+            let sgl_before = part.thread.stats().sgl_acquisitions;
+            let mut undo = UndoImage::new();
+            let mut out = Vec::new();
+            let outcome = exec_leg(
+                &mut part,
+                leg.scope(s),
+                escalated,
+                &mut writes,
+                Some(&mut undo),
+                &mut |ctx| {
+                    out = leg.run(ctx)?;
+                    Ok(())
+                },
+            );
+            if outcome == Outcome::UserAborted {
+                return Ok(outcome);
+            }
+            if !escalated && part.thread.stats().sgl_acquisitions > sgl_before {
+                escalated = true;
+                stats.escalations += 1;
+            }
+            outputs.extend(out);
+            applied.push(Applied { undo, logged: false });
+            if let Some(w) = wal {
+                let leg_state = applied.last_mut().expect("just pushed");
+                let upd = leg.record();
+                w.append(s, Append::XBegin { xid, parts: set, upd, undo: &leg_state.undo })?;
+                // Logged at append, not at flush: if the flush fails, the
+                // frames stay buffered for a rejoin, and the rollback's
+                // XAbort must land behind them.
+                leg_state.logged = true;
+                w.append(s, Append::XApply { xid, writes: &writes })?;
+                drop(cl);
+                w.flush(s)?;
+                // "Durably prepared" and "applied" are one instant for a
+                // combined leg, so both crash windows arm on its flush.
+                w.crash_point(CrashSite::AfterPrepare);
+                w.crash_point(CrashSite::AfterApply);
+            }
+            // Leg → leg seam: the chaos injector's crash window.
+            if hooks::active() {
+                hooks::emit(Event::Poll);
+            }
+        }
+        inflight = None;
+        // The first durable XDecide commits the transaction everywhere at
+        // recovery; write it to every participant so any one log suffices.
+        if let Some(w) = wal {
+            let mut decided = false;
+            for &s in set {
+                let appended = {
+                    let _cl = w.commit_lock(s);
+                    w.append(s, Append::XDecide { xid })
+                };
+                match appended.and_then(|_| w.flush(s)) {
+                    Ok(_) => decided = true,
+                    Err(_) if decided => break, // committed already; the log just died
+                    Err(e) => return Err(e),
+                }
+            }
+            w.crash_point(CrashSite::AfterDecision);
+        }
+        Ok(Outcome::Committed)
+    }));
+    let failed = match run {
+        Ok(Ok(Outcome::Committed)) => return XOutcome::Committed(outputs),
+        Ok(Ok(Outcome::UserAborted)) => None,
+        Ok(Err(e)) => Some(e == WalError::Unavailable),
+        Err(_) => {
+            // The injector fires inside transaction bodies, so the
+            // unwinding leg did not commit, but its handle is
+            // mid-transaction.
+            if let Some(s) = inflight {
+                parts.reset(s);
+            }
+            Some(false)
+        }
+    };
+    let mut comp = Writes::new();
+    for ((&s, leg), a) in set.iter().zip(legs).zip(&applied) {
+        // The rollback must land even if chaos keeps firing: retry,
+        // replacing the handle after each caught panic.
+        for attempt in 1.. {
+            let undone = catch_unwind(AssertUnwindSafe(|| {
+                let _cl = wal.map(|w| w.commit_lock(s));
+                let body = &mut |ctx: &mut ProcCtx<'_>| leg.undo(ctx, &a.undo);
+                exec_leg(&mut parts.part(s), leg.scope(s), false, &mut comp, None, body);
+                if let (Some(w), true) = (wal, a.logged) {
+                    // One atomic record at the rollback's commit position:
+                    // abort marker + compensation post-image. Best-effort
+                    // on a dead log: recovery compensates any leg whose
+                    // XAbort did not land.
+                    let _ = w.append(s, Append::XAbort { xid, writes: &comp });
+                }
+            }));
+            if undone.is_ok() {
+                break;
+            }
+            parts.reset(s);
+            assert!(attempt < 1000, "2PC rollback could not complete");
+        }
+        if let Some(w) = wal {
+            let _ = w.flush(s);
+        }
+    }
+    match failed {
+        None => XOutcome::UserAborted,
+        Some(degraded) => {
+            stats.aborts += 1;
+            XOutcome::Failed { degraded }
+        }
     }
 }
 
@@ -442,6 +607,165 @@ pub fn group_adds(map: &ShardMap, set: &[usize], deltas: &[(u64, i64)]) -> Vec<X
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durability::record::decode_all;
+    use crate::durability::{recover, DurabilityConfig, DurabilityMode, Record};
+    use si_htm::SiHtm;
+    use std::path::Path;
+    use tm_api::TmBackend;
+
+    const WORDS: u64 = 1 << 14;
+
+    /// Two range-mapped shards of 8 keys, values equal to keys.
+    struct TwoShards<'a> {
+        domains: Vec<(SiHtm, KvStore)>,
+        threads: Vec<<SiHtm as TmBackend>::Thread>,
+        scratches: Vec<NodeScratch>,
+        xlocks: &'a [XLock; 2],
+    }
+
+    impl<'a> Participants<'a> for TwoShards<'a> {
+        fn part(&mut self, s: usize) -> ShardPart<'_> {
+            ShardPart {
+                store: &self.domains[s].1,
+                thread: &mut self.threads[s],
+                scratch: &mut self.scratches[s],
+            }
+        }
+
+        fn reset(&mut self, _s: usize) {
+            unreachable!("no panics are injected")
+        }
+
+        fn xlock(&self, s: usize) -> &'a XLock {
+            &self.xlocks[s]
+        }
+    }
+
+    /// args `[a, b, cap]`: each leg adds 1 to whichever of `a` and `b` it
+    /// owns and returns the new value, user-aborting past `cap`.
+    struct Bump;
+
+    impl Procedure for Bump {
+        fn id(&self) -> u64 {
+            1
+        }
+        fn name(&self) -> &'static str {
+            "bump"
+        }
+        fn run(&self, ctx: &mut ProcCtx<'_>, args: &[u64]) -> Result<Vec<u64>, Abort> {
+            let mut outs = Vec::new();
+            for &k in &args[..2] {
+                if ctx.is_local(k) {
+                    let v = ctx.get(k)?.unwrap_or(0) + 1;
+                    if v > args[2] {
+                        return Err(Abort::User);
+                    }
+                    ctx.put(k, v)?;
+                    outs.push(v);
+                }
+            }
+            Ok(outs)
+        }
+    }
+
+    /// The record kinds in shard `s`'s log, in LSN order.
+    fn kinds(dir: &Path, s: usize) -> Vec<&'static str> {
+        let mut segments: Vec<_> = std::fs::read_dir(dir.join(format!("shard-{s}")))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "log"))
+            .collect();
+        segments.sort();
+        let records = segments.iter().flat_map(|p| decode_all(&std::fs::read(p).unwrap()).0);
+        records
+            .map(|r| match r {
+                Record::Write { .. } => "Write",
+                Record::XBegin { .. } => "XBegin",
+                Record::XApply { .. } => "XApply",
+                Record::XDecide { .. } => "XDecide",
+                Record::XAbort { .. } => "XAbort",
+            })
+            .collect()
+    }
+
+    /// Recover a copy of `dir` (recovery compacts the log it reads, and
+    /// the live WAL still writes to this one) and compare every shard
+    /// with live memory.
+    fn assert_recovers_live(shards: &mut TwoShards<'_>, dir: &Path, map: &ShardMap) {
+        let copy = dir.with_extension("copy");
+        let _ = std::fs::remove_dir_all(&copy);
+        for s in 0..2 {
+            let (from, to) = (dir.join(format!("shard-{s}")), copy.join(format!("shard-{s}")));
+            std::fs::create_dir_all(&to).unwrap();
+            for e in std::fs::read_dir(from).unwrap() {
+                let e = e.unwrap();
+                std::fs::copy(e.path(), to.join(e.file_name())).unwrap();
+            }
+        }
+        let (domains, _) = recover(&copy, map, |_| SiHtm::with_defaults(WORDS as usize), 0, WORDS)
+            .expect("recovery");
+        for (s, (b, st)) in domains.iter().enumerate() {
+            let live = shards.domains[s].1.snapshot(&mut shards.threads[s]);
+            assert_eq!(st.snapshot(&mut b.register_thread()), live, "shard {s}: recovered != live");
+        }
+        let _ = std::fs::remove_dir_all(&copy);
+    }
+
+    #[test]
+    fn coordinate_logs_one_record_sequence_for_every_leg_kind() {
+        let dir = std::env::temp_dir().join(format!("txkv-coordinate-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let wal = WalSet::open(&DurabilityConfig::new(DurabilityMode::Sync, &dir), 2).unwrap();
+        let map = ShardMap::range(2, 8);
+        let entries = (0..16u64).map(|k| (k, k));
+        let domains = build_domains(
+            &map,
+            |_| SiHtm::with_defaults(WORDS as usize),
+            0,
+            WORDS,
+            entries.clone(),
+        );
+        for s in 0..2 {
+            let seed: Vec<_> = entries.clone().filter(|&(k, _)| map.shard_of(k) == s).collect();
+            wal.install_checkpoint(s, &seed).unwrap();
+        }
+        let xlocks = [XLock::new(), XLock::new()];
+        let mut shards = TwoShards {
+            threads: domains.iter().map(|(b, _)| b.register_thread()).collect(),
+            scratches: domains.iter().map(|(_, st)| st.new_batch_scratch(4)).collect(),
+            domains,
+            xlocks: &xlocks,
+        };
+        let set = [0, 1];
+        let updates = |ups: Vec<XUpdate>| ups.into_iter().map(Leg::Update).collect::<Vec<_>>();
+        let bump = |args| {
+            let leg = |s| Leg::Call { proc: &Bump, args, scope: Scope::leg(&map, s, 0) };
+            set.iter().map(|&s| leg(s)).collect::<Vec<_>>()
+        };
+        let mut stats = TwoPcStats::default();
+        let mut run = |shards: &mut TwoShards<'_>, legs: &[Leg<'_>]| {
+            coordinate(shards, &set, legs, Some(&wal), &mut stats)
+        };
+        let puts = updates(group_puts(&map, &set, &[(1, 100), (9, 900)]));
+        assert_eq!(run(&mut shards, &puts), XOutcome::Committed(vec![]));
+        let adds = updates(group_adds(&map, &set, &[(2, -2), (10, 2)]));
+        assert_eq!(run(&mut shards, &adds), XOutcome::Committed(vec![]));
+        assert_eq!(run(&mut shards, &bump(&[3, 11, 20])), XOutcome::Committed(vec![4, 12]));
+        let committed = ["XBegin", "XApply", "XDecide"].repeat(3);
+        for s in 0..2 {
+            assert_eq!(kinds(&dir, s), committed, "shard {s} after three commits");
+        }
+        assert_recovers_live(&mut shards, &dir, &map);
+        // Leg 0 takes key 3 to 5; leg 1 would take key 11 to 13 > 12.
+        assert_eq!(run(&mut shards, &bump(&[3, 11, 12])), XOutcome::UserAborted);
+        assert_eq!(kinds(&dir, 0)[9..], ["XBegin", "XApply", "XAbort"], "shard 0 after the abort");
+        assert_eq!(kinds(&dir, 1), committed, "the aborting leg logs nothing");
+        let (b0, st0) = &shards.domains[0];
+        assert_eq!(st0.load_raw(b0.memory(), 3), Some(4), "leg 0 rolled back");
+        assert_recovers_live(&mut shards, &dir, &map);
+        assert_eq!((stats.prepares, stats.aborts, stats.escalations), (4, 0, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn hash_map_covers_all_shards_and_is_stable() {

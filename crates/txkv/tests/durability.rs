@@ -23,13 +23,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use tm_api::TmBackend;
+use tm_api::{Abort, TmBackend};
 use txkv::durability::storage as faults;
 use txkv::durability::{checkpoint, Append, Writes};
 use txkv::{
     recover, recover_and_open, CrashSite, CrashSpec, DurabilityConfig, DurabilityMode, FaultPlan,
-    FaultTarget, KvClient, KvError, KvOp, KvReply, Pipeline, PipelineConfig, RecoveryReport,
-    ShardMap, WalError, WalSet,
+    FaultTarget, KvClient, KvError, KvOp, KvReply, KvTx, Pipeline, PipelineConfig, ProcCtx,
+    ProcRegistry, Procedure, RecoveryReport, ShardMap, WalError, WalSet,
 };
 use txmem::hooks::chaos::{self, ChaosConfig};
 
@@ -472,6 +472,114 @@ fn storage_degradation<B: TmBackend>(mut mk: impl FnMut(usize) -> B) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Procedure 1, args `[from, to, amount]`: each leg moves its own side
+/// of a transfer.
+struct Transfer;
+
+impl Procedure for Transfer {
+    fn id(&self) -> u64 {
+        1
+    }
+    fn name(&self) -> &'static str {
+        "transfer"
+    }
+    fn run(&self, ctx: &mut ProcCtx<'_>, args: &[u64]) -> Result<Vec<u64>, Abort> {
+        let (from, to, amount) = (args[0], args[1], args[2]);
+        for (k, delta) in [(from, amount.wrapping_neg()), (to, amount)] {
+            if ctx.is_local(k) {
+                let v = ctx.get(k)?.unwrap_or(0).wrapping_add(delta);
+                ctx.put(k, v)?;
+            }
+        }
+        Ok(Vec::new())
+    }
+}
+
+/// A participant's log degrades under a cross-shard transfer of 5 from
+/// key 0 (shard 0) to key 8 (shard 1), the medium heals, the shard
+/// rejoins, and a later `Put` of 500 to the faulted shard's key is
+/// Sync-acked: recovery must keep that 500. Each fault plan is
+/// `(shard, after)` for `FaultPlan::fsync_permanent`: the flush of shard
+/// 1's leg, of its decision, or of shard 0's leg fails. A failed leg
+/// leaves its `XBegin`/`XApply` retained for the rejoin, so its
+/// rollback's `XAbort` must be logged behind them; otherwise the rejoin
+/// makes the leg durable without the rollback and recovery undoes the
+/// transfer again, on top of the acked `Put`.
+fn degraded_leg_then_rejoin<B: TmBackend>(mut mk: impl FnMut(usize) -> B, call: bool) {
+    for (shard, after) in [(1, 1), (1, 0), (0, 0)] {
+        let dir = tmpdir(&format!("rejoin-{call}-{shard}-{after}"));
+        let mut dcfg = DurabilityConfig::new(DurabilityMode::Sync, &dir);
+        dcfg.group_commit_max = 1;
+        dcfg.flush_retries = 1;
+        dcfg.retry_base_us = 1;
+        dcfg.maintenance_interval_ms = 5;
+        dcfg.scrub_interval_ms = 0;
+        let map = ShardMap::range(2, PER_SHARD);
+        let (domains, wal, _) =
+            recover_and_open(&dcfg, &map, &mut mk, 0, 1 << 16).expect("open durable domains");
+        let procs = Arc::new(ProcRegistry::new().register(Arc::new(Transfer)));
+        let cfg = PipelineConfig { executors: 1, ..pipeline_cfg() };
+        let pipeline = Pipeline::start_with(domains, map, cfg, Some(Arc::clone(&wal)), Some(procs));
+        let client = pipeline.client();
+        for k in [0, PER_SHARD] {
+            let reply = client.call(KvOp::Put { key: k, val: 100 });
+            assert!(matches!(reply, Ok(KvReply::Done { .. })), "seeding put not acked: {reply:?}");
+        }
+        let tag = dir.to_string_lossy().into_owned();
+        let guard = faults::install(FaultPlan::fsync_permanent(shard, after).tagged(&tag));
+        let op = if call {
+            KvOp::Call {
+                proc: 1,
+                args: vec![0, PER_SHARD, 5],
+                footprint: vec![0, PER_SHARD],
+                read_only: false,
+            }
+        } else {
+            KvOp::MultiAdd { deltas: vec![(0, -5), (PER_SHARD, 5)] }
+        };
+        let ctx = format!("call={call} fsync_permanent({shard}, {after})");
+        let committed = match client.call(op) {
+            Ok(KvReply::Done { .. } | KvReply::CallOk(_)) => true,
+            Ok(KvReply::Unavailable) => false,
+            other => {
+                panic!("{ctx}: transfer must commit or be refused as Unavailable, got {other:?}")
+            }
+        };
+        assert!(!wal.health(shard).writable(), "{ctx}: the fault never degraded the shard");
+        guard.clear();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !wal.health(shard).writable() {
+            assert!(Instant::now() < deadline, "{ctx}: cleared fault but the shard never rejoined");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let key = shard as u64 * PER_SHARD;
+        let reply = client.call(KvOp::Put { key, val: 500 });
+        assert!(
+            matches!(reply, Ok(KvReply::Done { .. })),
+            "{ctx}: rejoined shard must ack: {reply:?}"
+        );
+        wal.halt_all();
+        pipeline.shutdown();
+        drop(guard);
+        let (domains, rec) = recover(&dir, &map, &mut mk, 0, 1 << 16).expect("recovery");
+        let read = |k: u64| {
+            let s = map.shard_of(k);
+            domains[s].1.load_raw(domains[s].0.memory(), k)
+        };
+        assert_eq!(read(key), Some(500), "{ctx}: the acked put was lost (report {rec:?})");
+        let other = (1 - shard as u64) * PER_SHARD;
+        let moved = if !committed {
+            100
+        } else if other == 0 {
+            95
+        } else {
+            105
+        };
+        assert_eq!(read(other), Some(moved), "{ctx}: committed={committed} (report {rec:?})");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// ENOSPC in the middle of a checkpoint: the tmp → fsync → rename path
 /// must leave the previous checkpoint valid, the shard healthy (the log
 /// still covers its state), and recovery must replay from the old
@@ -572,6 +680,20 @@ macro_rules! durability_suite {
                 let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
                 let _serial = faults::gate();
                 storage_degradation($make);
+            }
+
+            #[test]
+            fn rejoined_participant_keeps_later_acked_write_after_multi_add() {
+                let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+                let _serial = faults::gate();
+                degraded_leg_then_rejoin($make, false);
+            }
+
+            #[test]
+            fn rejoined_participant_keeps_later_acked_write_after_call() {
+                let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+                let _serial = faults::gate();
+                degraded_leg_then_rejoin($make, true);
             }
         }
     };

@@ -18,7 +18,7 @@ use si_htm::SiHtm;
 use tm_api::{Abort, TmBackend, TmThread, TxKind};
 use txkv::durability::Writes;
 use txkv::shard::UndoImage;
-use txkv::{KvStore, KvTx, LocalTx, ProcCtx};
+use txkv::{KvStore, KvTx, LocalTx, ProcCtx, Scope};
 use txkv_schema::{def_row, Row, Table};
 use workloads::btree::NodeScratch;
 
@@ -237,7 +237,7 @@ impl Side {
                 return Ok(());
             }
             let (w, u) = (Some(&mut fx.writes), Some(&mut fx.undo));
-            let mut pctx = ProcCtx::new(store, tx, scratch, None, 0, true, 0, w, u);
+            let mut pctx = ProcCtx::new(store, tx, scratch, Scope::single(0, 0), w, u);
             for op in ops {
                 let read = match ctx {
                     Ctx::PerColumn => apply(&mut PerColumn(&mut pctx), op)?,
@@ -338,17 +338,8 @@ fn refused_run_writes_nothing() {
                 local = LocalTx { store, tx, scratch };
                 &mut local
             } else {
-                pctx = ProcCtx::new(
-                    store,
-                    tx,
-                    scratch,
-                    None,
-                    0,
-                    true,
-                    0,
-                    Some(&mut writes),
-                    Some(&mut undo),
-                );
+                let (w, u) = (Some(&mut writes), Some(&mut undo));
+                pctx = ProcCtx::new(store, tx, scratch, Scope::single(0, 0), w, u);
                 &mut pctx
             };
             for &(from, n) in &holes {
