@@ -16,12 +16,16 @@
 //! parallel array of reader slots — an inline first-reader word plus a
 //! spinlocked overflow vector that only multi-reader lines ever touch. The
 //! split matters: the read-side fast path ("does this line have a writer?")
-//! touches only the 8-byte-per-line writer array, so even on large
-//! simulated memories the hot structure stays cache-resident; the wider
-//! reader slots are only dereferenced by tracked-reader registration and
-//! by write-path scans. The uncontended access path is therefore one or
-//! two atomic operations with no locking — this is what every simulated
-//! memory access pays, so it dominates the whole simulator's profile.
+//! touches only the 8-byte-per-line writer array, 1/16 of the simulated
+//! memory; the wider reader slots are only dereferenced by tracked-reader
+//! registration and by write-path scans. The uncontended access path is
+//! therefore one or two atomic operations with no locking — this is what
+//! every simulated memory access pays, so it dominates the whole
+//! simulator's profile. On a large simulated memory the writer word is as
+//! likely a host cache miss as the data word, so accesses issue both
+//! loads up front ([`Directory::prefetch`], `TxMemory::prefetch`) and pay
+//! one miss, not two in sequence. Both arrays are allocated zeroed
+//! (`txmem::zeroed_slice`): lines a run never touches cost no memory.
 //! Identity indexing needs no probing because line ids are dense and
 //! bounded by the memory size (`txmem` panics on out-of-range addresses),
 //! so `capacity == memory lines` always covers every possible key.
@@ -80,27 +84,24 @@ impl Owner {
 /// most one concurrent tracked reader — the overwhelmingly common case,
 /// since HTM-mode tracked readers are rare under SI-HTM — never touch the
 /// spinlocked overflow sidecar; `extra_count` lets scans skip it without
-/// taking the lock.
+/// taking the lock. All-zero bytes are a vacant slot (the overflow vector
+/// is created on the first spill), so the slot array is allocated zeroed.
 struct ReaderSlot {
     reader0: AtomicU64,
     extra_count: AtomicU64,
     extra_lock: AtomicBool,
-    extra: UnsafeCell<Vec<u64>>,
+    // Boxed because `None::<Box<_>>` is guaranteed all-zero; `Option<Vec>`
+    // has no such layout guarantee.
+    #[allow(clippy::box_collection)]
+    extra: UnsafeCell<Option<Box<Vec<u64>>>>,
 }
 
-// `extra` is only touched while `extra_lock` is held (see `with_extra`).
+// SAFETY: `reader0`, `extra_count` and `extra_lock` are atomics; `extra`,
+// the only field without `Sync`, is only touched while `extra_lock` is held
+// (see `with_extra`), and the `Box<Vec<u64>>` it may hold is `Send`.
 unsafe impl Sync for ReaderSlot {}
 
 impl ReaderSlot {
-    fn new() -> ReaderSlot {
-        ReaderSlot {
-            reader0: AtomicU64::new(0),
-            extra_count: AtomicU64::new(0),
-            extra_lock: AtomicBool::new(false),
-            extra: UnsafeCell::new(Vec::new()),
-        }
-    }
-
     /// Run `f` on the overflow vector under the slot spinlock.
     fn with_extra<R>(&self, f: impl FnOnce(&mut Vec<u64>) -> R) -> R {
         crate::util::spin_wait(|| {
@@ -108,8 +109,9 @@ impl ReaderSlot {
                 .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
                 .is_ok()
         });
-        // Safety: the spinlock above gives exclusive access.
-        let r = f(unsafe { &mut *self.extra.get() });
+        // SAFETY: the spinlock above gives exclusive access.
+        let extra = unsafe { &mut *self.extra.get() };
+        let r = f(extra.get_or_insert_with(Box::default));
         self.extra_lock.store(false, Ordering::Release);
         r
     }
@@ -128,11 +130,19 @@ pub struct LockFreeDir {
 
 impl LockFreeDir {
     pub fn new(lines: usize) -> Self {
-        let mut w = Vec::with_capacity(lines);
-        w.resize_with(lines, || AtomicU64::new(0));
-        let mut r = Vec::with_capacity(lines);
-        r.resize_with(lines, ReaderSlot::new);
-        LockFreeDir { writers: w.into_boxed_slice(), readers: r.into_boxed_slice() }
+        // SAFETY: all-zero bytes are a vacant `ReaderSlot`: zero atomics, an
+        // unlocked `extra_lock`, and `None` in `extra` (`None::<Box<_>>` is
+        // the null pointer).
+        let readers = unsafe { txmem::zeroed_slice(lines) };
+        LockFreeDir { writers: txmem::zeroed_words(lines), readers }
+    }
+
+    #[inline]
+    fn prefetch(&self, line: Line, readers: bool) {
+        txmem::prefetch(&self.writers, line as usize);
+        if readers {
+            txmem::prefetch(&self.readers, line as usize);
+        }
     }
 
     #[inline]
@@ -348,6 +358,17 @@ impl Directory {
         match kind {
             DirectoryKind::LockFree => Directory::LockFree(LockFreeDir::new(lines)),
             DirectoryKind::Locked => Directory::Locked(LockedDir::new(shards)),
+        }
+    }
+
+    /// Start loading the host cache lines an access to `line` is about to
+    /// touch: its writer word and, with `readers`, its reader slot. A hint:
+    /// out-of-range lines are ignored here and panic at the access itself.
+    #[inline]
+    pub fn prefetch(&self, line: Line, readers: bool) {
+        match self {
+            Directory::LockFree(d) => d.prefetch(line, readers),
+            Directory::Locked(_) => {}
         }
     }
 

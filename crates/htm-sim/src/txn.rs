@@ -260,6 +260,16 @@ impl HtmThread {
         }
     }
 
+    /// Issue the host loads this access is about to make — the data word,
+    /// the line's writer word and, with `readers`, its reader slot — so
+    /// their cache misses overlap instead of running one after another
+    /// (DESIGN.md §6). Changes no simulated state.
+    #[inline(always)]
+    fn prefetch(&self, addr: Addr, readers: bool) {
+        self.memory().prefetch(addr);
+        self.htm.directory().prefetch(line_of(addr), readers);
+    }
+
     /// Deterministic per-line sampling for the "small fraction of ROT reads
     /// tracked by the TMCAM" knob (paper footnote 1).
     #[inline]
@@ -382,6 +392,7 @@ impl HtmThread {
     /// Transactional read (`ld` inside a transaction). When suspended, the
     /// access is performed non-transactionally, as the hardware does.
     pub fn read(&mut self, addr: Addr) -> Result<u64, AbortReason> {
+        self.prefetch(addr, self.mode == Some(TxMode::Htm));
         if self.suspended {
             return Ok(self.read_notx(addr, NonTxClass::Data));
         }
@@ -440,6 +451,7 @@ impl HtmThread {
     /// Transactional write (`st` inside a transaction). Buffered until
     /// commit. When suspended, performed non-transactionally.
     pub fn write(&mut self, addr: Addr, val: u64) -> Result<(), AbortReason> {
+        self.prefetch(addr, true);
         if self.suspended {
             self.write_notx(addr, val, NonTxClass::Data);
             return Ok(());
@@ -625,6 +637,7 @@ impl HtmThread {
     /// buffered value (suspended loads see the thread's transactional
     /// stores on POWER).
     pub fn read_notx(&mut self, addr: Addr, class: NonTxClass) -> u64 {
+        self.prefetch(addr, false);
         let line = line_of(addr);
         if self.mode.is_some() && self.lines.get(&line).is_some_and(|f| f & flags::WRITE != 0) {
             let val = self.wbuf.get(&addr).copied().unwrap_or_else(|| self.memory().load(addr));
@@ -971,6 +984,34 @@ mod tests {
         assert!(a.doomed().is_none());
         a.commit().unwrap();
         assert_eq!(htm.memory().load(32), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn out_of_range_rot_read_panics() {
+        let htm = machine(256);
+        let end = htm.memory().len() as Addr;
+        let mut t = htm.register_thread();
+        t.begin(TxMode::Rot);
+        let _ = t.read(end);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn out_of_range_htm_read_panics() {
+        let htm = machine(256);
+        let end = htm.memory().len() as Addr;
+        let mut t = htm.register_thread();
+        t.begin(TxMode::Htm);
+        let _ = t.read(end);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn out_of_range_read_notx_panics() {
+        let htm = machine(256);
+        let end = htm.memory().len() as Addr;
+        htm.register_thread().read_notx(end, NonTxClass::Data);
     }
 
     #[test]

@@ -78,15 +78,13 @@ impl P8tm {
     pub fn new(htm_config: HtmConfig, memory_words: usize, config: P8tmConfig) -> Self {
         let htm = Htm::new(htm_config, memory_words);
         let threads = htm.config().max_threads();
-        let lines = htm.memory().lines();
-        let mut versions = Vec::with_capacity(lines);
-        versions.resize_with(lines, || AtomicU64::new(0));
+        let versions = txmem::zeroed_words(htm.memory().lines());
         P8tm {
             inner: Arc::new(Inner {
                 htm,
                 state: StateArray::new(threads),
                 sgl: Sgl::new(),
-                versions: versions.into_boxed_slice(),
+                versions,
                 commit_lock: Mutex::new(()),
                 config,
             }),
@@ -475,6 +473,7 @@ struct UpdateTx<'a> {
 impl Tx for UpdateTx<'_> {
     fn read(&mut self, addr: Addr) -> Result<u64, Abort> {
         let line = line_of(addr);
+        txmem::prefetch(self.versions, line as usize);
         // The software instrumentation P8TM pays on every read: record the
         // line's commit version on first encounter.
         if !self.write_lines.contains(&line) && self.seen.insert(line) {
@@ -507,6 +506,7 @@ struct RoTx<'a> {
 impl Tx for RoTx<'_> {
     fn read(&mut self, addr: Addr) -> Result<u64, Abort> {
         let line = line_of(addr);
+        txmem::prefetch(self.versions, line as usize);
         if self.seen.insert(line) {
             let v = self.versions[line as usize].load(Ordering::Acquire);
             self.read_log.push((line, v));

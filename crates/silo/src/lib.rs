@@ -95,17 +95,8 @@ impl Silo {
     /// Build with explicit tunables.
     pub fn with_config(memory_words: usize, config: SiloConfig) -> Self {
         let memory = TxMemory::new(memory_words);
-        let lines = memory.lines();
-        let mut tids = Vec::with_capacity(lines);
-        tids.resize_with(lines, || AtomicU64::new(0));
-        Silo {
-            inner: Arc::new(Inner {
-                memory,
-                tids: tids.into_boxed_slice(),
-                config,
-                cm_seq: AtomicU64::new(0),
-            }),
-        }
+        let tids = txmem::zeroed_words(memory.lines());
+        Silo { inner: Arc::new(Inner { memory, tids, config, cm_seq: AtomicU64::new(0) }) }
     }
 
     /// Alias matching the other backends' constructors.
@@ -172,6 +163,10 @@ impl SiloThread {
     /// TID-sandwich read of one word: `(value, observed_tid)`.
     fn read_word(inner: &Inner, addr: Addr) -> (u64, u64) {
         let line = line_of(addr) as usize;
+        // Issue both host loads up front so their cache misses overlap, as
+        // `HtmThread` does for its data and writer words (DESIGN.md §6).
+        txmem::prefetch(&inner.tids, line);
+        inner.memory.prefetch(addr);
         let backoff = Backoff::new();
         loop {
             let t1 = inner.tids[line].load(Ordering::Acquire);
@@ -431,6 +426,14 @@ mod tests {
         assert_eq!(b.memory().load(0), 0);
         // TID word must not be left locked.
         assert_eq!(b.inner.tids[0].load(Ordering::Relaxed) & LOCK_BIT, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn out_of_range_read_panics() {
+        let b = Silo::new(256);
+        let end = b.memory().len() as Addr;
+        b.register_thread().exec(TxKind::ReadOnly, &mut |tx| tx.read(end).map(drop));
     }
 
     #[test]

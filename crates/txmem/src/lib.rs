@@ -14,13 +14,17 @@
 //!   the workloads to lay out nodes/rows so that their *cache-line footprint*
 //!   matches what the paper's benchmarks produce on real hardware,
 //! * [`VirtualClock`] — the monotonic "time base register" stand-in used for
-//!   the `currentTime()` calls of SI-HTM's Algorithm 1.
+//!   the `currentTime()` calls of SI-HTM's Algorithm 1,
+//! * [`zeroed_words`] / [`prefetch`] — the host-side arena constructor and
+//!   prefetch hint every simulator array and access path shares.
 
 pub mod alloc;
+pub mod arena;
 pub mod clock;
 pub mod hooks;
 
 pub use alloc::LineAlloc;
+pub use arena::{prefetch, zeroed_slice, zeroed_words};
 pub use clock::VirtualClock;
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,10 +88,7 @@ impl TxMemory {
     /// Allocate a memory of `words` 64-bit words, zero-initialised, rounded
     /// up to a whole cache line.
     pub fn new(words: usize) -> Self {
-        let n = round_up_to_line(words as u64) as usize;
-        let mut v = Vec::with_capacity(n);
-        v.resize_with(n, || AtomicU64::new(0));
-        TxMemory { words: v.into_boxed_slice() }
+        TxMemory { words: zeroed_words(round_up_to_line(words as u64) as usize) }
     }
 
     /// Allocate a memory sized in cache lines.
@@ -120,6 +121,13 @@ impl TxMemory {
     #[inline(always)]
     pub fn load(&self, addr: Addr) -> u64 {
         self.words[addr as usize].load(Ordering::Relaxed)
+    }
+
+    /// Start loading `addr`'s host cache line; out-of-range addresses are
+    /// ignored here and panic at the access itself.
+    #[inline(always)]
+    pub fn prefetch(&self, addr: Addr) {
+        prefetch(&self.words, addr as usize);
     }
 
     /// Raw (non-transactional) store.
@@ -243,6 +251,13 @@ mod tests {
     fn out_of_bounds_load_panics() {
         let m = TxMemory::new(16);
         let _ = m.load(16);
+    }
+
+    #[test]
+    fn prefetch_out_of_range_is_a_no_op() {
+        let m = TxMemory::new(16);
+        m.prefetch(16);
+        m.prefetch(Addr::MAX);
     }
 
     #[test]
