@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex};
 use tm_api::{Abort, TmBackend, TmThread, TwoPcStats, TxKind};
 use txkv::durability::{Append, CrashSite, CrashSpec, DurabilityConfig, DurabilityMode, WalSet};
 use txkv::shard::{coordinate, group_adds, Leg, Participants, ShardPart, XOutcome};
-use txkv::{recover, KvStore, LocalTx, PushError, ShardMap, SubmitQueue, XLock};
+use txkv::{recover, KvStore, ProcCtx, PushError, Scope, ShardMap, SubmitQueue, XLock};
 use txkv_schema::{def_key, def_row, Index, Table};
 use txmem::hooks::{self, Event};
 use txmem::{round_up_to_line, Addr, LineAlloc, TxMemory, WORDS_PER_LINE};
@@ -1170,7 +1170,9 @@ fn ti_stamp(group: u64, moves: u64) -> u64 {
 }
 
 /// Typed table + secondary index over one [`KvStore`], driven through
-/// [`txkv_schema`]'s schema layer via [`LocalTx`]: update transactions
+/// [`txkv_schema`]'s schema layer through a [`ProcCtx`] per attempt —
+/// the service's own context, so every multi-key body shares one
+/// B-tree finger as it does in the pipeline: update transactions
 /// move a row to a different group — rewriting the indexed column and
 /// relocating its [`TI_BY_GROUP`] entry in the **same** transaction —
 /// half of them column by column (`read_col`/`write_col`/`update_col`),
@@ -1228,33 +1230,34 @@ fn build_typed_index(cfg: &CheckConfig, seed: u64) -> Scenario {
                     let whole_row = rng.below(2) == 0;
                     let out = thread.exec(TxKind::Update, &mut |tx| {
                         scratch.reset();
-                        let mut ltx = LocalTx { store: &store, tx, scratch: &mut scratch };
+                        let mut ctx =
+                            ProcCtx::new(&store, tx, &mut scratch, Scope::single(0, 0), None, None);
                         let old;
                         let new;
                         if whole_row {
                             let row =
-                                TI_ROWS_TABLE.get(&mut ltx, TI_PLACE, id)?.ok_or(Abort::User)?;
+                                TI_ROWS_TABLE.get(&mut ctx, TI_PLACE, id)?.ok_or(Abort::User)?;
                             (old, new) = (row.group, (row.group + hop) % TI_GROUPS);
                             let moves = row.moves + 1;
                             let row = GroupedRow { group: new, moves, stamp: ti_stamp(new, moves) };
-                            TI_ROWS_TABLE.put(&mut ltx, TI_PLACE, id, &row)?;
+                            TI_ROWS_TABLE.put(&mut ctx, TI_PLACE, id, &row)?;
                         } else {
-                            old = TI_ROWS_TABLE.read_col(&mut ltx, TI_PLACE, id, TI_GROUP_COL)?;
+                            old = TI_ROWS_TABLE.read_col(&mut ctx, TI_PLACE, id, TI_GROUP_COL)?;
                             new = (old + hop) % TI_GROUPS;
-                            TI_ROWS_TABLE.write_col(&mut ltx, TI_PLACE, id, TI_GROUP_COL, new)?;
+                            TI_ROWS_TABLE.write_col(&mut ctx, TI_PLACE, id, TI_GROUP_COL, new)?;
                             let moves = TI_ROWS_TABLE.update_col(
-                                &mut ltx,
+                                &mut ctx,
                                 TI_PLACE,
                                 id,
                                 TI_MOVES_COL,
                                 |m| m + 1,
                             )?;
                             let stamp = ti_stamp(new, moves);
-                            TI_ROWS_TABLE.write_col(&mut ltx, TI_PLACE, id, TI_STAMP_COL, stamp)?;
+                            TI_ROWS_TABLE.write_col(&mut ctx, TI_PLACE, id, TI_STAMP_COL, stamp)?;
                         }
                         if !break_index {
                             TI_BY_GROUP.update(
-                                &mut ltx,
+                                &mut ctx,
                                 TI_PLACE,
                                 Some(GroupKey { g: old, id }),
                                 Some((GroupKey { g: new, id }, id)),
@@ -1274,10 +1277,11 @@ fn build_typed_index(cfg: &CheckConfig, seed: u64) -> Scenario {
                     let mut torn = false;
                     let out = thread.exec(TxKind::ReadOnly, &mut |tx| {
                         torn = false;
-                        let mut ltx = LocalTx { store: &store, tx, scratch: &mut scratch };
+                        let mut ctx =
+                            ProcCtx::new(&store, tx, &mut scratch, Scope::single(0, 0), None, None);
                         let mut members: Vec<u64> = Vec::new();
                         TI_BY_GROUP.scan(
-                            &mut ltx,
+                            &mut ctx,
                             TI_PLACE,
                             GroupKey { g, id: 0 },
                             GroupKey { g: g + 1, id: 0 },
@@ -1290,7 +1294,7 @@ fn build_typed_index(cfg: &CheckConfig, seed: u64) -> Scenario {
                             },
                         )?;
                         for id in 0..TI_ROWS {
-                            match TI_ROWS_TABLE.get(&mut ltx, TI_PLACE, id)? {
+                            match TI_ROWS_TABLE.get(&mut ctx, TI_PLACE, id)? {
                                 Some(row) => {
                                     torn |= row.stamp != ti_stamp(row.group, row.moves);
                                     torn |= (row.group == g) != members.contains(&id);

@@ -36,7 +36,7 @@ use crate::shard::{ShardMap, UndoImage};
 use crate::store::KvStore;
 use std::sync::Arc;
 use tm_api::{Abort, Tx};
-use workloads::btree::NodeScratch;
+use workloads::btree::{Finger, NodeScratch};
 
 /// Upper bound on keys a single procedure leg may insert or delete.
 /// Executor scratches (and WAL write-set buffers) are pre-sized to it.
@@ -196,13 +196,18 @@ impl<'a> Scope<'a> {
 }
 
 /// The execution context the pipeline hands a procedure leg: the shard's
-/// store and transaction, plus optional pre-/post-image capture. Built
-/// by the pipeline; [`ProcCtx::new`] is public so tests can drive a
-/// capturing context inside a plain transaction.
+/// store and transaction, a B-tree [`Finger`] shared by every access of
+/// the leg, plus optional pre-/post-image capture. Built by the pipeline;
+/// [`ProcCtx::new`] is public so tests can drive a capturing context
+/// inside a plain transaction.
 pub struct ProcCtx<'a> {
     store: &'a KvStore,
     tx: &'a mut dyn Tx,
     scratch: &'a mut NodeScratch,
+    /// The leg's last descent: consecutive keys (a row read then
+    /// written, neighbouring order lines) re-descend from their common
+    /// subtree instead of the root.
+    finger: Finger,
     scope: Scope<'a>,
     /// WAL post-image capture (update legs under durability).
     writes: Option<&'a mut Writes>,
@@ -212,6 +217,9 @@ pub struct ProcCtx<'a> {
 }
 
 impl<'a> ProcCtx<'a> {
+    /// Invariant: **one `ProcCtx` per attempt.** Build it inside the
+    /// transaction body, never outside `exec`: its finger caches nodes
+    /// read in this attempt, which a retry must read again.
     pub fn new(
         store: &'a KvStore,
         tx: &'a mut dyn Tx,
@@ -220,7 +228,7 @@ impl<'a> ProcCtx<'a> {
         writes: Option<&'a mut Writes>,
         undo: Option<&'a mut UndoImage>,
     ) -> Self {
-        ProcCtx { store, tx, scratch, scope, writes, undo }
+        ProcCtx { store, tx, scratch, finger: Finger::new(), scope, writes, undo }
     }
 
     /// The shard this leg runs on.
@@ -236,7 +244,7 @@ impl KvTx for ProcCtx<'_> {
             "leg on shard {} read foreign key {key:#x}",
             self.scope.shard
         );
-        self.store.get_in(self.tx, key)
+        self.store.tree.lookup_with(self.tx, key, &mut self.finger)
     }
 
     fn put(&mut self, key: u64, val: u64) -> Result<(), Abort> {
@@ -251,11 +259,11 @@ impl KvTx for ProcCtx<'_> {
         );
         if let Some(undo) = self.undo.as_deref_mut() {
             if !undo.iter().any(|&(k, _)| k == key) {
-                let old = self.store.get_in(self.tx, key)?;
+                let old = self.store.tree.lookup_with(self.tx, key, &mut self.finger)?;
                 undo.push((key, old));
             }
         }
-        self.store.put_in(self.tx, self.scratch, key, val)?;
+        self.store.tree.insert_with(self.tx, key, val, self.scratch, &mut self.finger)?;
         if let Some(writes) = self.writes.as_deref_mut() {
             writes.push((key, Some(val)));
         }
@@ -274,11 +282,11 @@ impl KvTx for ProcCtx<'_> {
         );
         if let Some(undo) = self.undo.as_deref_mut() {
             if !undo.iter().any(|&(k, _)| k == key) {
-                let old = self.store.get_in(self.tx, key)?;
+                let old = self.store.tree.lookup_with(self.tx, key, &mut self.finger)?;
                 undo.push((key, old));
             }
         }
-        let existed = self.store.delete_in(self.tx, key)?;
+        let existed = self.store.tree.remove_with(self.tx, key, &mut self.finger)?;
         if let Some(writes) = self.writes.as_deref_mut() {
             writes.push((key, None));
         }
@@ -292,7 +300,7 @@ impl KvTx for ProcCtx<'_> {
         limit: u64,
         f: &mut dyn FnMut(u64, u64),
     ) -> Result<u64, Abort> {
-        self.store.scan_range_entries_in(self.tx, from, to, limit, f)
+        self.store.tree.range_entries_with(self.tx, from, to, limit, f, &mut self.finger)
     }
 
     /// The same images `put` captures, taken from the slots the run
@@ -314,7 +322,7 @@ impl KvTx for ProcCtx<'_> {
             "procedure wrote replicated key {from:#x}"
         );
         let (mut undo, mut writes) = (self.undo.as_deref_mut(), self.writes.as_deref_mut());
-        self.store.update_run_in(self.tx, from, n, &mut |key, old| {
+        let mut capture = |key, old| {
             let new = f(key, old);
             if let Some(undo) = undo.as_deref_mut() {
                 if !undo.iter().any(|&(k, _)| k == key) {
@@ -325,7 +333,8 @@ impl KvTx for ProcCtx<'_> {
                 writes.push((key, Some(new)));
             }
             new
-        })
+        };
+        self.store.tree.update_run_with(self.tx, from, n, &mut capture, &mut self.finger)
     }
 
     fn is_local(&self, key: u64) -> bool {

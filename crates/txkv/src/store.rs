@@ -14,18 +14,22 @@
 //!   by the pipeline to pack many read-only requests into one transaction
 //!   and to compose multi-key read-write transactions;
 //! * a whole-transaction convenience over [`TmThread::exec`] — what a
-//!   library user (and the semantics tests) call directly.
+//!   library user (and the semantics tests) call directly. The ones that
+//!   touch several keys make one B-tree [`Finger`] inside the body and
+//!   share it across the keys of that attempt.
 
 use std::sync::Arc;
 use tm_api::{Abort, Outcome, TmThread, Tx, TxKind};
 use txmem::{Addr, LineAlloc, TxMemory};
-use workloads::btree::{NodeScratch, TxBTree};
+use workloads::btree::{Finger, NodeScratch, TxBTree};
 
 /// Handle to a KV store laid out in simulated memory. Cheap to clone;
 /// clones share the tree and its node arena.
 #[derive(Clone)]
 pub struct KvStore {
-    tree: TxBTree,
+    /// [`crate::ProcCtx`] calls the tree's `*_with` forms with its own
+    /// finger.
+    pub(crate) tree: TxBTree,
     alloc: Arc<LineAlloc>,
 }
 
@@ -193,8 +197,9 @@ impl KvStore {
         let mut out = Vec::with_capacity(keys.len());
         t.exec(TxKind::ReadOnly, &mut |tx| {
             out.clear();
+            let finger = &mut Finger::new();
             for &k in keys {
-                out.push(self.get_in(tx, k)?);
+                out.push(self.tree.lookup_with(tx, k, finger)?);
             }
             Ok(())
         });
@@ -265,12 +270,13 @@ impl KvStore {
         let mut observed = None;
         let out = t.exec(TxKind::Update, &mut |tx| {
             scratch.reset();
-            let cur = self.get_in(tx, key)?;
+            let finger = &mut Finger::new();
+            let cur = self.tree.lookup_with(tx, key, finger)?;
             if cur != expect {
                 observed = cur;
                 return Err(Abort::User); // semantic rollback, not retried
             }
-            self.put_in(tx, scratch, key, new)?;
+            self.tree.insert_with(tx, key, new, scratch, finger)?;
             Ok(())
         });
         match out {
@@ -291,8 +297,9 @@ impl KvStore {
     ) {
         let out = t.exec(TxKind::Update, &mut |tx| {
             scratch.reset();
+            let finger = &mut Finger::new();
             for &(k, v) in pairs {
-                self.put_in(tx, scratch, k, v)?;
+                self.tree.insert_with(tx, k, v, scratch, finger)?;
             }
             Ok(())
         });
@@ -313,9 +320,10 @@ impl KvStore {
     ) {
         let out = t.exec(TxKind::Update, &mut |tx| {
             scratch.reset();
+            let finger = &mut Finger::new();
             for &(k, d) in deltas {
-                let cur = self.get_in(tx, k)?.unwrap_or(0);
-                self.put_in(tx, scratch, k, cur.wrapping_add(d as u64))?;
+                let cur = self.tree.lookup_with(tx, k, finger)?.unwrap_or(0);
+                self.tree.insert_with(tx, k, cur.wrapping_add(d as u64), scratch, finger)?;
             }
             Ok(())
         });
@@ -339,10 +347,11 @@ impl KvStore {
         let out = t.exec(TxKind::Update, &mut |tx| {
             scratch.reset();
             writes.clear();
+            let finger = &mut Finger::new();
             for &(k, d) in deltas {
-                let cur = self.get_in(tx, k)?.unwrap_or(0);
+                let cur = self.tree.lookup_with(tx, k, finger)?.unwrap_or(0);
                 let v = cur.wrapping_add(d as u64);
-                self.put_in(tx, scratch, k, v)?;
+                self.tree.insert_with(tx, k, v, scratch, finger)?;
                 writes.push((k, Some(v)));
             }
             Ok(())

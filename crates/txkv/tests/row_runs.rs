@@ -367,3 +367,37 @@ fn refused_run_writes_nothing() {
         assert_eq!(side.store.load_raw(side.backend.memory(), lo + 3), Some(4));
     }
 }
+
+/// One leg reads a row, writes it, then inserts the absent neighbouring
+/// rows — sixteen fresh keys in the one leaf that covers the gap, so it
+/// must split — and reads and writes the first row again after the
+/// split. The capturing `ProcCtx` shares one finger across all of it;
+/// its reads, WAL post-images and 2PC undo images must equal the
+/// per-column reference, and every memory word must match.
+#[test]
+fn row_write_then_splitting_neighbours_match_the_per_column_path() {
+    let quad = |id: u64| (0..4).map(move |c| (QUADS.key(PLACE, id, c), 10 * id + c));
+    let entries: Vec<(u64, u64)> =
+        (0..24).filter(|id| !(10..14).contains(id)).flat_map(quad).collect();
+    let op = |id, kind| Op { table: 1, id, kind };
+    let mut ops = vec![op(9, Kind::Get), op(9, Kind::Put(vec![1, 2, 3, 4]))];
+    ops.extend((10..14).map(|id| op(id, Kind::Put(vec![id, id + 1, id + 2, id + 3]))));
+    ops.extend([
+        op(9, Kind::Get),
+        op(9, Kind::UpdateCol(2, 5)),
+        op(13, Kind::Get),
+        op(14, Kind::WriteCol(0, 7)),
+        op(12, Kind::Get),
+    ]);
+    let mut sides: Vec<Side> = (0..3).map(|_| Side::new(&entries)).collect();
+    let used = sides[0].store.alloc().used();
+    let reference = sides[0].exec(Ctx::PerColumn, &ops);
+    assert!(sides[0].store.alloc().used() > used, "the neighbours did not split a leaf");
+    let proc = sides[1].exec(Ctx::Proc, &ops);
+    let local = sides[2].exec(Ctx::Local, &ops);
+    assert_eq!(proc, reference, "ProcCtx diverged");
+    assert_eq!(local.reads, reference.reads, "LocalTx reads");
+    assert_eq!(reference.undo.len(), 4 + 16 + 1, "row 9, the new rows, row 14's column");
+    let mem = sides[0].memory();
+    assert!(sides[1..].iter().all(|s| s.memory() == mem), "memory words");
+}

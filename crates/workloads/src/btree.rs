@@ -8,6 +8,20 @@
 //! walk the leaf chain** — an unbounded read footprint that plain HTM
 //! cannot track but SI-HTM's read paths handle for free.
 //!
+//! Every node is **binary-searched**: an internal node by the upper bound
+//! of the key among its separators, a leaf by the lower bound plus an
+//! equality flag, and range walks start at the lower bound of `from`.
+//! The keys share line 0 with the header, so the search reads fewer words
+//! of the same lines a linear scan touched.
+//!
+//! Every operation runs through one descent that records its root-to-leaf
+//! path in a [`Finger`]. The public operations come in pairs: the plain
+//! form (`lookup`, `insert`, …) descends from the root with a fresh
+//! finger; the `*_with` form takes the caller's finger and re-descends
+//! only from the deepest recorded node whose key range covers the new
+//! key — one descent per neighbourhood rather than one per key, for
+//! bodies that touch consecutive keys in one transaction attempt.
+//!
 //! Deletion is leaf-local (no rebalancing): keys are removed from their
 //! leaf, which may leave nodes underfull but preserves every search
 //! invariant — the classic relaxed B-tree used by TM benchmarks, where
@@ -82,12 +96,63 @@ impl NodeScratch {
     }
 }
 
-/// Result of a recursive insert.
-enum Ins {
-    /// Inserted (`true`) or updated in place (`false`).
-    Done(bool),
-    /// The child split: hoist `sep` with the new right sibling.
-    Split { sep: u64, right: Addr, inserted: bool },
+/// Deepest path a [`Finger`] records. Internal nodes are born with at
+/// least 8 children and never lose one (deletes are leaf-local), so a
+/// deeper tree would need more than 8^14 nodes.
+const MAX_DEPTH: usize = 16;
+
+/// One level of a recorded descent: the node and the key range
+/// `lo..=last` its ancestors' separators confine it to; for an internal
+/// node also its separator count and the child slot taken.
+#[derive(Debug, Clone, Copy, Default)]
+struct Step {
+    node: Addr,
+    lo: u64,
+    last: u64,
+    leaf: bool,
+    count: u8,
+    slot: u8,
+}
+
+impl Step {
+    fn covers(&self, key: u64) -> bool {
+        self.lo <= key && key <= self.last
+    }
+}
+
+/// A root-to-leaf path cached across the operations of one transaction
+/// attempt, so a key near the previous one re-descends only from the
+/// deepest node whose key range covers it. Three invariants make the
+/// cached nodes exactly what a fresh descent would read:
+///
+/// * **one finger per attempt** — every node on the path was read in
+///   this attempt, and the backend's snapshot makes re-reading it
+///   return the same words; a new attempt needs a new finger;
+/// * **cleared on split** — a split is the only write that changes an
+///   internal node, the root pointer or a leaf's key range (deletes are
+///   leaf-local and nodes never merge), and every split clears it;
+/// * **tied to one tree** — it records the tree's root pointer, and a
+///   finger from another tree starts over at the root.
+///
+/// A fixed array: recording a descent allocates nothing.
+#[cfg_attr(test, derive(Clone))]
+pub struct Finger {
+    /// Root pointer of the tree the path belongs to.
+    tree: Addr,
+    len: usize,
+    path: [Step; MAX_DEPTH],
+}
+
+impl Finger {
+    pub fn new() -> Self {
+        Finger { tree: 0, len: 0, path: [Step::default(); MAX_DEPTH] }
+    }
+}
+
+impl Default for Finger {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// Handle to a B+-tree laid out in simulated memory. `Copy` so closures
@@ -123,9 +188,11 @@ impl TxBTree {
         let tree = TxBTree::create(memory, alloc);
         let mut raw = RawTx { memory };
         let mut scratch = NodeScratch::new(alloc);
+        let mut finger = Finger::new();
         for (k, v) in entries {
             scratch.reset();
-            tree.insert(&mut raw, k, v, &mut scratch).expect("raw tx cannot abort");
+            tree.insert_with(&mut raw, k, v, &mut scratch, &mut finger)
+                .expect("raw tx cannot abort");
             scratch.refill(alloc);
         }
         tree
@@ -138,31 +205,109 @@ impl TxBTree {
         self.lookup(&mut raw, key).expect("raw tx cannot abort")
     }
 
-    /// Point lookup.
-    pub fn lookup(&self, tx: &mut dyn Tx, key: u64) -> Result<Option<u64>, Abort> {
-        let mut node = tx.read(self.root_ptr)?;
-        loop {
-            let (leaf, count) = unpack_header(tx.read(node + H_HEADER)?);
-            if leaf {
-                for i in 0..count {
-                    if tx.read(node + H_KEYS + i)? == key {
-                        return Ok(Some(tx.read(node + H_VALS + i)?));
-                    }
-                }
-                return Ok(None);
+    /// Walk to the leaf that would hold `key`, starting from the deepest
+    /// step of `finger` whose range covers it (the root when none does),
+    /// and record the path in `finger`. Returns the leaf and its key
+    /// count, which is always read afresh: the attempt's own inserts and
+    /// deletes change it without clearing the finger.
+    fn descend(
+        &self,
+        tx: &mut dyn Tx,
+        key: u64,
+        finger: &mut Finger,
+    ) -> Result<(Addr, u64), Abort> {
+        let mut depth = if finger.tree == self.root_ptr { finger.len } else { 0 };
+        while depth > 0 && !finger.path[depth - 1].covers(key) {
+            depth -= 1;
+        }
+        let (mut node, mut lo, mut last, mut cached) = match depth.checked_sub(1) {
+            None => {
+                finger.tree = self.root_ptr;
+                (tx.read(self.root_ptr)?, 0, u64::MAX, None)
             }
-            let idx = self.child_index(tx, node, count, key)?;
-            node = tx.read(node + H_CHILDREN + idx)?;
+            Some(d) => {
+                depth = d;
+                let s = finger.path[d];
+                (s.node, s.lo, s.last, (!s.leaf).then_some(s.count as u64))
+            }
+        };
+        loop {
+            let (leaf, count) = match cached.take() {
+                Some(count) => (false, count),
+                None => unpack_header(tx.read(node + H_HEADER)?),
+            };
+            finger.path[depth] = Step { node, lo, last, leaf, count: count as u8, slot: 0 };
+            finger.len = depth + 1;
+            if leaf {
+                return Ok((node, count));
+            }
+            let slot;
+            (slot, lo, last) = Self::child_slot(tx, node, count, key, lo, last)?;
+            finger.path[depth].slot = slot as u8;
+            node = tx.read(node + H_CHILDREN + slot)?;
+            depth += 1;
         }
     }
 
-    /// Number of separator keys ≤ `key` (the child slot to descend into).
-    fn child_index(&self, tx: &mut dyn Tx, node: Addr, count: u64, key: u64) -> Result<u64, Abort> {
-        let mut i = 0;
-        while i < count && tx.read(node + H_KEYS + i)? <= key {
-            i += 1;
+    /// Binary upper bound of `key` among an internal node's separators:
+    /// the child slot to descend into, and that child's range. The last
+    /// separator probed ≤ `key` and the last probed > `key` are the
+    /// slot's two neighbours, so the range costs no extra read.
+    fn child_slot(
+        tx: &mut dyn Tx,
+        node: Addr,
+        count: u64,
+        key: u64,
+        mut lo: u64,
+        mut last: u64,
+    ) -> Result<(u64, u64, u64), Abort> {
+        let (mut l, mut h) = (0, count);
+        while l < h {
+            let mid = (l + h) / 2;
+            let sep = tx.read(node + H_KEYS + mid)?;
+            if sep <= key {
+                (l, lo) = (mid + 1, sep);
+            } else {
+                (h, last) = (mid, sep - 1);
+            }
         }
-        Ok(i)
+        Ok((l, lo, last))
+    }
+
+    /// Binary lower bound of `key` among a leaf's keys: the first slot
+    /// whose key is ≥ `key`, and whether that key equals it (the last
+    /// probe that moved the upper end read exactly that slot).
+    fn leaf_slot(tx: &mut dyn Tx, node: Addr, count: u64, key: u64) -> Result<(u64, bool), Abort> {
+        let (mut l, mut h, mut hit) = (0, count, false);
+        while l < h {
+            let mid = (l + h) / 2;
+            let k = tx.read(node + H_KEYS + mid)?;
+            if k < key {
+                l = mid + 1;
+            } else {
+                (h, hit) = (mid, k == key);
+            }
+        }
+        Ok((l, hit))
+    }
+
+    /// Point lookup.
+    pub fn lookup(&self, tx: &mut dyn Tx, key: u64) -> Result<Option<u64>, Abort> {
+        self.lookup_with(tx, key, &mut Finger::new())
+    }
+
+    /// [`lookup`](Self::lookup) resuming from, and updating, `finger`.
+    pub fn lookup_with(
+        &self,
+        tx: &mut dyn Tx,
+        key: u64,
+        finger: &mut Finger,
+    ) -> Result<Option<u64>, Abort> {
+        let (leaf, count) = self.descend(tx, key, finger)?;
+        match Self::leaf_slot(tx, leaf, count, key)? {
+            (pos, true) => Ok(Some(tx.read(leaf + H_VALS + pos)?)),
+            (_, false) => Ok(None),
+        }
     }
 
     /// Insert or update. Returns `true` when a new key was inserted.
@@ -173,114 +318,61 @@ impl TxBTree {
         value: u64,
         scratch: &mut NodeScratch,
     ) -> Result<bool, Abort> {
-        let root = tx.read(self.root_ptr)?;
-        match self.insert_rec(tx, root, key, value, scratch)? {
-            Ins::Done(inserted) => Ok(inserted),
-            Ins::Split { sep, right, inserted } => {
-                // Root split: grow the tree by one level.
-                let new_root = scratch.take();
-                tx.write(new_root + H_HEADER, pack_header(false, 1))?;
-                tx.write(new_root + H_KEYS, sep)?;
-                tx.write(new_root + H_CHILDREN, root)?;
-                tx.write(new_root + H_CHILDREN + 1, right)?;
-                tx.write(self.root_ptr, new_root)?;
-                Ok(inserted)
-            }
-        }
+        self.insert_with(tx, key, value, scratch, &mut Finger::new())
     }
 
-    fn insert_rec(
+    /// [`insert`](Self::insert) resuming from, and updating, `finger`: one
+    /// descent, the leaf insert, then any split sent up the recorded path
+    /// (which the split then clears).
+    pub fn insert_with(
         &self,
         tx: &mut dyn Tx,
-        node: Addr,
         key: u64,
         value: u64,
         scratch: &mut NodeScratch,
-    ) -> Result<Ins, Abort> {
-        let (leaf, count) = unpack_header(tx.read(node + H_HEADER)?);
-        if leaf {
-            return self.insert_leaf(tx, node, count, key, value, scratch);
+        finger: &mut Finger,
+    ) -> Result<bool, Abort> {
+        let (leaf, count) = self.descend(tx, key, finger)?;
+        let (pos, hit) = Self::leaf_slot(tx, leaf, count, key)?;
+        if hit {
+            tx.write(leaf + H_VALS + pos, value)?;
+            return Ok(false);
         }
-        let idx = self.child_index(tx, node, count, key)?;
-        let child = tx.read(node + H_CHILDREN + idx)?;
-        match self.insert_rec(tx, child, key, value, scratch)? {
-            Ins::Done(inserted) => Ok(Ins::Done(inserted)),
-            Ins::Split { sep, right, inserted } => {
-                if count < ORDER as u64 {
-                    // Shift keys/children right of idx and splice in.
-                    let mut i = count;
-                    while i > idx {
-                        let k = tx.read(node + H_KEYS + i - 1)?;
-                        tx.write(node + H_KEYS + i, k)?;
-                        let c = tx.read(node + H_CHILDREN + i)?;
-                        tx.write(node + H_CHILDREN + i + 1, c)?;
-                        i -= 1;
-                    }
-                    tx.write(node + H_KEYS + idx, sep)?;
-                    tx.write(node + H_CHILDREN + idx + 1, right)?;
-                    tx.write(node + H_HEADER, pack_header(false, count + 1))?;
-                    return Ok(Ins::Done(inserted));
-                }
-                // Split this internal node: temporarily materialise the
-                // ORDER+1 keys / ORDER+2 children, then redistribute.
-                let mut keys = Vec::with_capacity(ORDER + 1);
-                let mut children = Vec::with_capacity(ORDER + 2);
-                for i in 0..count {
-                    keys.push(tx.read(node + H_KEYS + i)?);
-                }
-                for i in 0..=count {
-                    children.push(tx.read(node + H_CHILDREN + i)?);
-                }
-                keys.insert(idx as usize, sep);
-                children.insert(idx as usize + 1, right);
-                let mid = keys.len() / 2;
-                let up = keys[mid];
-                let right_node = scratch.take();
-                // Left keeps keys[..mid], children[..=mid].
-                for (i, k) in keys[..mid].iter().enumerate() {
-                    tx.write(node + H_KEYS + i as u64, *k)?;
-                }
-                for (i, c) in children[..=mid].iter().enumerate() {
-                    tx.write(node + H_CHILDREN + i as u64, *c)?;
-                }
-                tx.write(node + H_HEADER, pack_header(false, mid as u64))?;
-                // Right takes keys[mid+1..], children[mid+1..].
-                let rkeys = &keys[mid + 1..];
-                let rchildren = &children[mid + 1..];
-                for (i, k) in rkeys.iter().enumerate() {
-                    tx.write(right_node + H_KEYS + i as u64, *k)?;
-                }
-                for (i, c) in rchildren.iter().enumerate() {
-                    tx.write(right_node + H_CHILDREN + i as u64, *c)?;
-                }
-                tx.write(right_node + H_HEADER, pack_header(false, rkeys.len() as u64))?;
-                Ok(Ins::Split { sep: up, right: right_node, inserted })
+        let Some(mut split) = Self::insert_leaf(tx, leaf, count, pos, key, value, scratch)? else {
+            return Ok(true);
+        };
+        // A split moves keys between nodes: forget the path once it has
+        // carried the split up.
+        let above = finger.len - 1;
+        finger.len = 0;
+        for step in finger.path[..above].iter().rev() {
+            match Self::insert_internal(tx, step, split, scratch)? {
+                Some(up) => split = up,
+                None => return Ok(true),
             }
         }
+        // The root split: grow the tree by one level.
+        let (sep, right) = split;
+        let new_root = scratch.take();
+        tx.write(new_root + H_HEADER, pack_header(false, 1))?;
+        tx.write(new_root + H_KEYS, sep)?;
+        tx.write(new_root + H_CHILDREN, finger.path[0].node)?;
+        tx.write(new_root + H_CHILDREN + 1, right)?;
+        tx.write(self.root_ptr, new_root)?;
+        Ok(true)
     }
 
+    /// Put `key` at slot `pos` of a leaf holding `count` keys. Returns
+    /// the separator and new right sibling when the leaf split.
     fn insert_leaf(
-        &self,
         tx: &mut dyn Tx,
         node: Addr,
         count: u64,
+        pos: u64,
         key: u64,
         value: u64,
         scratch: &mut NodeScratch,
-    ) -> Result<Ins, Abort> {
-        // Position of the first key ≥ `key`.
-        let mut pos = 0;
-        while pos < count {
-            let k = tx.read(node + H_KEYS + pos)?;
-            if k == key {
-                tx.write(node + H_VALS + pos, value)?;
-                return Ok(Ins::Done(false));
-            }
-            if k > key {
-                break;
-            }
-            pos += 1;
-        }
+    ) -> Result<Option<(u64, Addr)>, Abort> {
         if count < ORDER as u64 {
             let mut i = count;
             while i > pos {
@@ -293,9 +385,8 @@ impl TxBTree {
             tx.write(node + H_KEYS + pos, key)?;
             tx.write(node + H_VALS + pos, value)?;
             tx.write(node + H_HEADER, pack_header(true, count + 1))?;
-            return Ok(Ins::Done(true));
+            return Ok(None);
         }
-        // Leaf split.
         let mut keys = Vec::with_capacity(ORDER + 1);
         let mut vals = Vec::with_capacity(ORDER + 1);
         for i in 0..count {
@@ -321,64 +412,108 @@ impl TxBTree {
             tx.write(node + H_KEYS + i as u64, *k)?;
             tx.write(node + H_VALS + i as u64, *v)?;
         }
-        Ok(Ins::Split { sep: keys[mid], right, inserted: true })
+        Ok(Some((keys[mid], right)))
+    }
+
+    /// Splice a child's split `(sep, right)` into the internal node of
+    /// `step`, right of the slot the descent took. Returns the node's own
+    /// split when it was full.
+    fn insert_internal(
+        tx: &mut dyn Tx,
+        step: &Step,
+        (sep, right): (u64, Addr),
+        scratch: &mut NodeScratch,
+    ) -> Result<Option<(u64, Addr)>, Abort> {
+        let (node, count, idx) = (step.node, step.count as u64, step.slot as u64);
+        if count < ORDER as u64 {
+            // Shift keys/children right of idx and splice in.
+            let mut i = count;
+            while i > idx {
+                let k = tx.read(node + H_KEYS + i - 1)?;
+                tx.write(node + H_KEYS + i, k)?;
+                let c = tx.read(node + H_CHILDREN + i)?;
+                tx.write(node + H_CHILDREN + i + 1, c)?;
+                i -= 1;
+            }
+            tx.write(node + H_KEYS + idx, sep)?;
+            tx.write(node + H_CHILDREN + idx + 1, right)?;
+            tx.write(node + H_HEADER, pack_header(false, count + 1))?;
+            return Ok(None);
+        }
+        // Split this internal node: temporarily materialise the
+        // ORDER+1 keys / ORDER+2 children, then redistribute.
+        let mut keys = Vec::with_capacity(ORDER + 1);
+        let mut children = Vec::with_capacity(ORDER + 2);
+        for i in 0..count {
+            keys.push(tx.read(node + H_KEYS + i)?);
+        }
+        for i in 0..=count {
+            children.push(tx.read(node + H_CHILDREN + i)?);
+        }
+        keys.insert(idx as usize, sep);
+        children.insert(idx as usize + 1, right);
+        let mid = keys.len() / 2;
+        let up = keys[mid];
+        let right_node = scratch.take();
+        // Left keeps keys[..mid], children[..=mid].
+        for (i, k) in keys[..mid].iter().enumerate() {
+            tx.write(node + H_KEYS + i as u64, *k)?;
+        }
+        for (i, c) in children[..=mid].iter().enumerate() {
+            tx.write(node + H_CHILDREN + i as u64, *c)?;
+        }
+        tx.write(node + H_HEADER, pack_header(false, mid as u64))?;
+        // Right takes keys[mid+1..], children[mid+1..].
+        let rkeys = &keys[mid + 1..];
+        let rchildren = &children[mid + 1..];
+        for (i, k) in rkeys.iter().enumerate() {
+            tx.write(right_node + H_KEYS + i as u64, *k)?;
+        }
+        for (i, c) in rchildren.iter().enumerate() {
+            tx.write(right_node + H_CHILDREN + i as u64, *c)?;
+        }
+        tx.write(right_node + H_HEADER, pack_header(false, rkeys.len() as u64))?;
+        Ok(Some((up, right_node)))
     }
 
     /// Remove a key (leaf-local, no rebalancing). Returns whether it existed.
     pub fn remove(&self, tx: &mut dyn Tx, key: u64) -> Result<bool, Abort> {
-        let mut node = tx.read(self.root_ptr)?;
-        loop {
-            let (leaf, count) = unpack_header(tx.read(node + H_HEADER)?);
-            if !leaf {
-                let idx = self.child_index(tx, node, count, key)?;
-                node = tx.read(node + H_CHILDREN + idx)?;
-                continue;
-            }
-            for i in 0..count {
-                if tx.read(node + H_KEYS + i)? == key {
-                    for j in i..count - 1 {
-                        let k = tx.read(node + H_KEYS + j + 1)?;
-                        tx.write(node + H_KEYS + j, k)?;
-                        let v = tx.read(node + H_VALS + j + 1)?;
-                        tx.write(node + H_VALS + j, v)?;
-                    }
-                    tx.write(node + H_HEADER, pack_header(true, count - 1))?;
-                    return Ok(true);
-                }
-            }
+        self.remove_with(tx, key, &mut Finger::new())
+    }
+
+    /// [`remove`](Self::remove) resuming from, and updating, `finger`.
+    pub fn remove_with(
+        &self,
+        tx: &mut dyn Tx,
+        key: u64,
+        finger: &mut Finger,
+    ) -> Result<bool, Abort> {
+        let (node, count) = self.descend(tx, key, finger)?;
+        let (pos, true) = Self::leaf_slot(tx, node, count, key)? else {
             return Ok(false);
+        };
+        for j in pos..count - 1 {
+            let k = tx.read(node + H_KEYS + j + 1)?;
+            tx.write(node + H_KEYS + j, k)?;
+            let v = tx.read(node + H_VALS + j + 1)?;
+            tx.write(node + H_VALS + j, v)?;
         }
+        tx.write(node + H_HEADER, pack_header(true, count - 1))?;
+        Ok(true)
     }
 
     /// Range scan: `(matches, sum-of-values)` over up to `limit` entries
     /// with key ≥ `from`, walking the leaf chain. Unbounded read footprint.
     pub fn range(&self, tx: &mut dyn Tx, from: u64, limit: u64) -> Result<(u64, u64), Abort> {
-        // Descend to the leaf that would contain `from`.
-        let mut node = tx.read(self.root_ptr)?;
-        loop {
-            let (leaf, count) = unpack_header(tx.read(node + H_HEADER)?);
-            if leaf {
-                break;
-            }
-            let idx = self.child_index(tx, node, count, from)?;
-            node = tx.read(node + H_CHILDREN + idx)?;
-        }
-        let mut n = 0;
         let mut sum = 0u64;
-        while node != NIL && n < limit {
-            let (_, count) = unpack_header(tx.read(node + H_HEADER)?);
-            for i in 0..count {
-                if n >= limit {
-                    break;
-                }
-                let k = tx.read(node + H_KEYS + i)?;
-                if k >= from {
-                    sum = sum.wrapping_add(tx.read(node + H_VALS + i)?);
-                    n += 1;
-                }
-            }
-            node = tx.read(node + H_NEXT)?;
-        }
+        let n = self.walk(
+            tx,
+            from,
+            u64::MAX,
+            limit,
+            &mut |_, v| sum = sum.wrapping_add(v),
+            &mut Finger::new(),
+        )?;
         Ok((n, sum))
     }
 
@@ -393,34 +528,8 @@ impl TxBTree {
         to: u64,
         limit: u64,
     ) -> Result<(u64, u64), Abort> {
-        let mut node = tx.read(self.root_ptr)?;
-        loop {
-            let (leaf, count) = unpack_header(tx.read(node + H_HEADER)?);
-            if leaf {
-                break;
-            }
-            let idx = self.child_index(tx, node, count, from)?;
-            node = tx.read(node + H_CHILDREN + idx)?;
-        }
-        let mut n = 0;
         let mut sum = 0u64;
-        'chain: while node != NIL && n < limit {
-            let (_, count) = unpack_header(tx.read(node + H_HEADER)?);
-            for i in 0..count {
-                if n >= limit {
-                    break 'chain;
-                }
-                let k = tx.read(node + H_KEYS + i)?;
-                if k >= to {
-                    break 'chain;
-                }
-                if k >= from {
-                    sum = sum.wrapping_add(tx.read(node + H_VALS + i)?);
-                    n += 1;
-                }
-            }
-            node = tx.read(node + H_NEXT)?;
-        }
+        let n = self.range_entries(tx, from, to, limit, &mut |_, v| sum = sum.wrapping_add(v))?;
         Ok((n, sum))
     }
 
@@ -438,32 +547,57 @@ impl TxBTree {
         limit: u64,
         f: &mut dyn FnMut(u64, u64),
     ) -> Result<u64, Abort> {
-        let mut node = tx.read(self.root_ptr)?;
-        loop {
-            let (leaf, count) = unpack_header(tx.read(node + H_HEADER)?);
-            if leaf {
+        self.range_entries_with(tx, from, to, limit, f, &mut Finger::new())
+    }
+
+    /// [`range_entries`](Self::range_entries) resuming from, and
+    /// updating, `finger`.
+    pub fn range_entries_with(
+        &self,
+        tx: &mut dyn Tx,
+        from: u64,
+        to: u64,
+        limit: u64,
+        f: &mut dyn FnMut(u64, u64),
+        finger: &mut Finger,
+    ) -> Result<u64, Abort> {
+        match to.checked_sub(1) {
+            Some(last) => self.walk(tx, from, last, limit, f, finger),
+            None => Ok(0),
+        }
+    }
+
+    /// The leaf-chain walk behind every range scan: `f(key, value)` for
+    /// up to `limit` entries with `from ≤ key ≤ last`, starting at the
+    /// lower bound of `from` in its leaf.
+    fn walk(
+        &self,
+        tx: &mut dyn Tx,
+        from: u64,
+        last: u64,
+        limit: u64,
+        f: &mut dyn FnMut(u64, u64),
+        finger: &mut Finger,
+    ) -> Result<u64, Abort> {
+        let (mut node, mut count) = self.descend(tx, from, finger)?;
+        let mut pos = Self::leaf_slot(tx, node, count, from)?.0;
+        let mut n = 0;
+        while n < limit {
+            if pos == count {
+                node = tx.read(node + H_NEXT)?;
+                if node == NIL {
+                    break;
+                }
+                count = unpack_header(tx.read(node + H_HEADER)?).1;
+                pos = 0;
+                continue;
+            }
+            let k = tx.read(node + H_KEYS + pos)?;
+            if k > last {
                 break;
             }
-            let idx = self.child_index(tx, node, count, from)?;
-            node = tx.read(node + H_CHILDREN + idx)?;
-        }
-        let mut n = 0;
-        'chain: while node != NIL && n < limit {
-            let (_, count) = unpack_header(tx.read(node + H_HEADER)?);
-            for i in 0..count {
-                if n >= limit {
-                    break 'chain;
-                }
-                let k = tx.read(node + H_KEYS + i)?;
-                if k >= to {
-                    break 'chain;
-                }
-                if k >= from {
-                    f(k, tx.read(node + H_VALS + i)?);
-                    n += 1;
-                }
-            }
-            node = tx.read(node + H_NEXT)?;
+            f(k, tx.read(node + H_VALS + pos)?);
+            (n, pos) = (n + 1, pos + 1);
         }
         Ok(n)
     }
@@ -483,49 +617,48 @@ impl TxBTree {
         n: u64,
         f: &mut dyn FnMut(u64, u64) -> u64,
     ) -> Result<bool, Abort> {
+        self.update_run_with(tx, from, n, f, &mut Finger::new())
+    }
+
+    /// [`update_run`](Self::update_run) resuming from, and updating,
+    /// `finger`.
+    pub fn update_run_with(
+        &self,
+        tx: &mut dyn Tx,
+        from: u64,
+        n: u64,
+        f: &mut dyn FnMut(u64, u64) -> u64,
+        finger: &mut Finger,
+    ) -> Result<bool, Abort> {
         if n == 0 {
             return Ok(true);
         }
         let last = from + (n - 1);
-        let mut node = tx.read(self.root_ptr)?;
-        loop {
-            let (leaf, count) = unpack_header(tx.read(node + H_HEADER)?);
-            if leaf {
-                break;
-            }
-            let idx = self.child_index(tx, node, count, from)?;
-            node = tx.read(node + H_CHILDREN + idx)?;
-        }
-        // Pass 1: every key of the run, in order and without gaps.
-        let mut start = None;
-        let mut found = 0;
-        'chain: while node != NIL {
-            let (_, count) = unpack_header(tx.read(node + H_HEADER)?);
-            for i in 0..count {
-                let k = tx.read(node + H_KEYS + i)?;
-                if k < from {
-                    continue;
-                }
-                if k != from + found {
-                    return Ok(false);
-                }
-                start.get_or_insert((node, i, count));
-                found += 1;
-                if found == n {
-                    break 'chain;
-                }
-            }
-            node = tx.read(node + H_NEXT)?;
-        }
-        let Some((mut node, mut pos, mut count)) = start.filter(|_| found == n) else {
+        let (leaf, count) = self.descend(tx, from, finger)?;
+        let (start, true) = Self::leaf_slot(tx, leaf, count, from)? else {
             return Ok(false);
         };
-        // Pass 2: rewrite the value slots pass 1 found.
-        for key in from..=last {
-            while pos == count {
+        // Pass 1: the rest of the run follows `from` without gaps.
+        let (mut node, mut pos, mut count_at) = (leaf, start + 1, count);
+        for key in from + 1..=last {
+            while pos == count_at {
                 node = tx.read(node + H_NEXT)?;
-                count = unpack_header(tx.read(node + H_HEADER)?).1;
-                pos = 0;
+                if node == NIL {
+                    return Ok(false);
+                }
+                (count_at, pos) = (unpack_header(tx.read(node + H_HEADER)?).1, 0);
+            }
+            if tx.read(node + H_KEYS + pos)? != key {
+                return Ok(false);
+            }
+            pos += 1;
+        }
+        // Pass 2: rewrite the value slots pass 1 found.
+        let (mut node, mut pos, mut count_at) = (leaf, start, count);
+        for key in from..=last {
+            while pos == count_at {
+                node = tx.read(node + H_NEXT)?;
+                (count_at, pos) = (unpack_header(tx.read(node + H_HEADER)?).1, 0);
             }
             let old = tx.read(node + H_VALS + pos)?;
             tx.write(node + H_VALS + pos, f(key, old))?;
@@ -947,6 +1080,61 @@ mod tests {
         let alloc = LineAlloc::new(0, words as u64);
         let tree = TxBTree::build(backend.memory(), &alloc, 1..=321);
         assert_eq!(tree.audit(backend.memory()), (1..=321).collect::<Vec<_>>());
+    }
+
+    /// The clear on split is load-bearing: a finger copied before a
+    /// split and reused after it, as if the split had not cleared it,
+    /// still routes keys that moved to the new right sibling into the old
+    /// leaf, where a lookup answers "absent" for a present key.
+    #[test]
+    fn finger_kept_across_a_split_gives_wrong_answers() {
+        let words = memory_words(4096);
+        let memory = TxMemory::new(words);
+        let alloc = LineAlloc::new(0, words as u64);
+        let tree = TxBTree::build(&memory, &alloc, (0..200).map(|k| k * 100));
+        let mut tx = RawTx { memory: &memory };
+        let mut scratch = NodeScratch::new(&alloc);
+        let mut finger = Finger::new();
+        assert_eq!(tree.lookup_with(&mut tx, 5_000, &mut finger).unwrap(), Some(5_000));
+        let kept = finger.clone();
+        // Fill 5 000's leaf until it splits (the gap up to 5 100 is all
+        // its own range).
+        let mut key = 5_000;
+        while scratch.used == 0 {
+            key += 1;
+            assert!(tree.insert_with(&mut tx, key, key, &mut scratch, &mut finger).unwrap());
+        }
+        assert_eq!(finger.len, 0, "the split cleared the finger");
+        let keys = tree.audit(&memory);
+        let mut wrong = 0;
+        for &k in &keys {
+            assert_eq!(tree.lookup_with(&mut tx, k, &mut finger).unwrap(), Some(k));
+            match tree.lookup_with(&mut tx, k, &mut kept.clone()).unwrap() {
+                Some(v) => assert_eq!(v, k),
+                None => wrong += 1,
+            }
+        }
+        assert!(wrong > 0, "a stale finger found every key: the clear would not matter");
+        assert_eq!(tree.lookup_with(&mut tx, key, &mut kept.clone()).unwrap(), None);
+    }
+
+    /// A finger records which tree its path belongs to: handed to another
+    /// tree it starts over at that tree's root instead of walking the
+    /// first tree's nodes.
+    #[test]
+    fn finger_moves_between_trees_from_the_root() {
+        let words = memory_words(4096);
+        let memory = TxMemory::new(words);
+        let alloc = LineAlloc::new(0, words as u64);
+        let evens = TxBTree::build(&memory, &alloc, (0..300).map(|k| 2 * k));
+        let odds = TxBTree::build(&memory, &alloc, (0..300).map(|k| 2 * k + 1));
+        let mut tx = RawTx { memory: &memory };
+        let mut finger = Finger::new();
+        for k in 0..600 {
+            let (hit, miss) = if k % 2 == 0 { (evens, odds) } else { (odds, evens) };
+            assert_eq!(hit.lookup_with(&mut tx, k, &mut finger).unwrap(), Some(k));
+            assert_eq!(miss.lookup_with(&mut tx, k, &mut finger).unwrap(), None);
+        }
     }
 
     #[test]
