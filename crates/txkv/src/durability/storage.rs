@@ -25,7 +25,8 @@
 //!   checksum re-scan (the scrubber, or recovery) can catch;
 //! * **I/O stalls** — the call sleeps before completing, the slow-disk
 //!   case that must not stall appenders (flush I/O happens outside the
-//!   shard mutex).
+//!   shard mutex). [`FaultGuard::hold_syncs`] is the deterministic
+//!   variant: eligible fsyncs block until [`FaultGuard::release_syncs`].
 //!
 //! Faults target by shard (the `shard-<s>/` path component), by file
 //! kind (segment vs checkpoint), and by an optional directory substring
@@ -278,6 +279,8 @@ pub struct FaultReport {
     pub short_writes: u64,
     pub corruptions: u64,
     pub stalls: u64,
+    /// Fsyncs that blocked on [`FaultGuard::hold_syncs`].
+    pub held_syncs: u64,
 }
 
 struct FaultState {
@@ -291,6 +294,8 @@ struct FaultState {
     short_writes: AtomicU64,
     corruptions: AtomicU64,
     stalls: AtomicU64,
+    holding: AtomicBool,
+    held_syncs: AtomicU64,
 }
 
 static ARMED: AtomicBool = AtomicBool::new(false);
@@ -313,6 +318,8 @@ pub fn install(plan: FaultPlan) -> FaultGuard {
         short_writes: AtomicU64::new(0),
         corruptions: AtomicU64::new(0),
         stalls: AtomicU64::new(0),
+        holding: AtomicBool::new(false),
+        held_syncs: AtomicU64::new(0),
     });
     *slot = Some(Arc::clone(&state));
     ARMED.store(true, Ordering::Release);
@@ -350,6 +357,16 @@ impl FaultGuard {
         self.state.cleared.store(false, Ordering::Release);
     }
 
+    /// Block every eligible fsync, before it reaches the medium, until
+    /// [`FaultGuard::release_syncs`]: a stall of known extent.
+    pub fn hold_syncs(&self) {
+        self.state.holding.store(true, Ordering::Release);
+    }
+
+    pub fn release_syncs(&self) {
+        self.state.holding.store(false, Ordering::Release);
+    }
+
     /// Snapshot of faults delivered so far.
     pub fn report(&self) -> FaultReport {
         FaultReport {
@@ -358,12 +375,14 @@ impl FaultGuard {
             short_writes: self.state.short_writes.load(Ordering::Relaxed),
             corruptions: self.state.corruptions.load(Ordering::Relaxed),
             stalls: self.state.stalls.load(Ordering::Relaxed),
+            held_syncs: self.state.held_syncs.load(Ordering::Relaxed),
         }
     }
 }
 
 impl Drop for FaultGuard {
     fn drop(&mut self) {
+        self.release_syncs();
         ARMED.store(false, Ordering::Release);
         *STATE.write().unwrap() = None;
     }
@@ -519,6 +538,12 @@ impl FaultFile {
     #[cold]
     fn faulty_sync(&mut self, st: &FaultState) -> Result<(), StorageError> {
         st.stall();
+        if st.holding.load(Ordering::Acquire) {
+            st.held_syncs.fetch_add(1, Ordering::Relaxed);
+            while st.holding.load(Ordering::Acquire) {
+                std::thread::sleep(std::time::Duration::from_micros(100));
+            }
+        }
         let n = st.sync_ops.fetch_add(1, Ordering::Relaxed);
         let scripted =
             n >= st.plan.sync_fail_after && n - st.plan.sync_fail_after < st.plan.sync_fail_count;

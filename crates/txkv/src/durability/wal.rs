@@ -15,7 +15,12 @@
 //! immediately and flushes on the same cadence. Flush I/O happens
 //! **outside** the shard mutex (the buffer is swapped out, written, and
 //! the watermark advanced under a brief re-lock), so appenders are never
-//! blocked behind a slow or stalled fsync.
+//! blocked behind a slow or stalled fsync. In the pipeline, group-commit
+//! flushes run on one log-writer thread that also settles the Sync acks
+//! (`crate::pipeline`, "Group commit"); the 2PC coordinator,
+//! checkpoints and rejoin probes flush inline, serialised with it by the
+//! shard's `io_lock`. [`WalSet::note_sync_ack_early`] is the writer's
+//! count of acks filled above their shard's watermark.
 //!
 //! ## Storage faults and graceful degradation
 //!
@@ -39,8 +44,8 @@
 //!
 //! A `ReadOnly`/`Failed` shard keeps serving reads; updates are shed as
 //! the typed `Unavailable` outcome (never acked — `sync_acks_early == 0`
-//! holds by construction, because Sync acks settle only on the durable
-//! watermark). A probe-write loop ([`WalSet::probe`]) rejoins the shard
+//! holds because Sync acks settle only on the durable watermark, and the
+//! log writer counts any fill that would not). A probe-write loop ([`WalSet::probe`]) rejoins the shard
 //! once the medium heals, first flushing any frames retained while
 //! degraded so the durable state converges back to what reads observed.
 //! The one record a degraded shard still takes is a 2PC rollback's
@@ -840,6 +845,8 @@ impl WalSet {
         Ok(())
     }
 
+    /// A Sync ack was filled while its LSN was above its shard's durable
+    /// watermark: a broken ack contract (`sync_acks_early` must stay 0).
     pub fn note_sync_ack_early(&self) {
         self.sync_acks_early.fetch_add(1, Ordering::Relaxed);
     }

@@ -46,6 +46,16 @@
 //! filled with [`KvReply::Shed`] when the drain grace expires at
 //! shutdown. A `Drop` backstop on the internal request envelope
 //! guarantees this even if an executor unwinds.
+//!
+//! ## Group commit
+//!
+//! A durable pipeline's group-commit I/O runs on one log-writer thread
+//! (`txkv-wal-writer`). Executors append and, on the group-commit edges
+//! (buffer full, update lane momentarily empty, about to park), kick the
+//! writer, which flushes every shard with buffered frames while they keep
+//! executing. A Sync reply is withheld on a per-shard list until the
+//! writer sees its shard's durable watermark cover it. The 2PC
+//! coordinator and checkpoints still flush inline (DESIGN.md §12.1).
 
 use crate::durability::{Append, CrashSite, DurabilityMode, WalError, WalSet, Writes};
 use crate::proc::{ProcCtx, ProcRegistry, Scope, PROC_WRITE_MAX};
@@ -58,7 +68,7 @@ use crate::store::{KvOp, KvReply, KvStore, OpClass};
 use crate::KvError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 use tm_api::{Abort, AbortReason, BackoffPolicy, ContentionManager, LatencyHist};
@@ -252,6 +262,9 @@ struct Shared {
     /// Per-shard commit-ordered WAL ([`Pipeline::start_durable`]); `None`
     /// runs the pipeline exactly as before — zero durability overhead.
     wal: Option<Arc<WalSet>>,
+    /// The log writer's handle and the Sync acks it settles (idle
+    /// without a WAL).
+    group: GroupCommit,
     /// Server-side procedures ([`KvOp::Call`] targets); `None` answers
     /// every call [`KvReply::CallAborted`].
     procs: Option<Arc<ProcRegistry>>,
@@ -436,11 +449,15 @@ fn proc_lats(reg: Option<&ProcRegistry>) -> Vec<ProcLat> {
         .unwrap_or_default()
 }
 
-/// What one executor hands back at join time.
+/// What one executor, or the log writer, hands back at join time.
 struct ExecOut {
     classes: Vec<ClassLat>,
     procs: Vec<ProcLat>,
+    /// Replies this thread filled.
     served: u64,
+    /// Sync updates this executor served and handed to the log writer,
+    /// which fills (and counts) their replies.
+    withheld: u64,
     shed: u64,
     ro_batches: u64,
     ro_batch_ops: u64,
@@ -463,6 +480,7 @@ impl ExecOut {
             classes: OpClass::ALL.iter().map(|&c| ClassLat::new(c)).collect(),
             procs: proc_lats(reg),
             served: 0,
+            withheld: 0,
             shed: 0,
             ro_batches: 0,
             ro_batch_ops: 0,
@@ -533,7 +551,8 @@ pub struct ServiceReport {
     pub ro_batch_aborts: u64,
     /// Executors that served zero requests (load-balance check).
     pub starved_executors: usize,
-    /// Executors that panicked (their in-flight request resolves Shed).
+    /// Executors, or the log writer, that panicked (their in-flight
+    /// requests resolve Shed).
     pub panicked_executors: usize,
     /// Contention-manager delays executed by executors.
     pub executor_backoffs: u64,
@@ -593,10 +612,9 @@ impl ServiceReport {
         }
     }
 
+    /// Fold in one thread's counters. Replies are counted where they were
+    /// filled, so a withheld Sync ack counts once: on the log writer.
     fn merge(&mut self, out: ExecOut) {
-        if out.served == 0 {
-            self.starved_executors += 1;
-        }
         self.replies += out.served;
         self.shed += out.shed;
         self.ro_batches += out.ro_batches;
@@ -750,6 +768,8 @@ pub struct Pipeline<B: TmBackend> {
     shared: Arc<Shared>,
     cfg: PipelineConfig,
     handles: Vec<JoinHandle<ExecOut>>,
+    /// The log writer; spawned for durable pipelines only.
+    writer: Option<JoinHandle<ExecOut>>,
     /// Storage-health maintenance loop (rejoin probes + scrubber); only
     /// spawned for durable pipelines with a nonzero maintenance cadence.
     maint: Option<JoinHandle<()>>,
@@ -838,8 +858,19 @@ impl<B: TmBackend> Pipeline<B> {
             hard_stop: AtomicBool::new(false),
             overloaded: AtomicU64::new(0),
             multi_key_max: cfg.multi_key_max,
+            group: GroupCommit::new(map.shards()),
             wal,
             procs,
+        });
+        // The writer's handle is published before any executor can kick.
+        let writer = shared.wal.clone().map(|w| {
+            let sh = Arc::clone(&shared);
+            let h = std::thread::Builder::new()
+                .name("txkv-wal-writer".into())
+                .spawn(move || sh.group.run_writer(&w, sh.procs.as_deref()))
+                .expect("spawn wal writer");
+            let _ = shared.group.writer.set(h.thread().clone());
+            h
         });
         let handles = (0..cfg.executors)
             .map(|i| {
@@ -880,7 +911,7 @@ impl<B: TmBackend> Pipeline<B> {
                 })
                 .expect("spawn wal maintenance")
         });
-        Pipeline { domains, shared, cfg, handles, maint }
+        Pipeline { domains, shared, cfg, handles, writer, maint }
     }
 
     /// A new submission handle (clone freely, share across threads).
@@ -944,6 +975,21 @@ impl<B: TmBackend> Pipeline<B> {
         report.procs = proc_lats(self.shared.procs.as_deref());
         for h in self.handles {
             match h.join() {
+                Ok(out) => {
+                    if out.served + out.withheld == 0 {
+                        report.starved_executors += 1;
+                    }
+                    report.merge(out);
+                }
+                Err(_) => report.panicked_executors += 1,
+            }
+        }
+        // Every executor is out, so no ack can be withheld after this: the
+        // writer's last round flushes, settles, and sheds the rest.
+        if let Some(h) = self.writer {
+            self.shared.group.stop.store(true, Ordering::Release);
+            h.thread().unpark();
+            match h.join() {
                 Ok(out) => report.merge(out),
                 Err(_) => report.panicked_executors += 1,
             }
@@ -969,19 +1015,114 @@ fn served_shards(idx: usize, executors: usize, shards: usize) -> Vec<usize> {
 }
 
 /// A served update whose reply is withheld until its WAL record is
-/// durable ([`DurabilityMode::Sync`]): the group-commit ack list.
+/// durable ([`DurabilityMode::Sync`]).
 struct PendingAck {
     req: Request,
     reply: KvReply,
     service: Duration,
     lsn: u64,
-    shard: usize,
+}
+
+/// The durable pipeline's group commit (module docs): the Sync acks the
+/// executors withhold, one list per shard, and the log writer that
+/// flushes the WAL and settles them. `writer` is set before any executor
+/// starts, and never without a WAL. `stop` asks for the writer's last
+/// round: stored (Release) by `shutdown` once every executor is joined,
+/// loaded (Acquire) by the writer after each wake-up.
+struct GroupCommit {
+    acks: Vec<Mutex<Vec<PendingAck>>>,
+    writer: OnceLock<Thread>,
+    stop: AtomicBool,
+}
+
+impl GroupCommit {
+    fn new(shards: usize) -> Self {
+        GroupCommit {
+            acks: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
+            writer: OnceLock::new(),
+            stop: AtomicBool::new(false),
+        }
+    }
+
+    /// Ask the writer for a flush round. A kick during a round is kept
+    /// (the `unpark` token), so the next round follows straight on.
+    fn kick(&self) {
+        if let Some(t) = self.writer.get() {
+            t.unpark();
+        }
+    }
+
+    /// Shard `s`'s withheld acks. No holder can panic (pushes and the
+    /// settle step's extraction only), so the lock is never poisoned.
+    fn list(&self, s: usize) -> MutexGuard<'_, Vec<PendingAck>> {
+        self.acks[s].lock().expect("ack-list holders do not panic")
+    }
+
+    fn any_withheld(&self) -> bool {
+        (0..self.acks.len()).any(|s| !self.list(s).is_empty())
+    }
+
+    /// The log writer: park until kicked, flush every shard with buffered
+    /// frames, settle. A failed flush degrades its shard or kills the log,
+    /// and settling answers the acks it strands. After `stop`, one last
+    /// round sheds whatever it could not make durable: an un-durable Sync
+    /// ack never escapes, not even at shutdown.
+    fn run_writer(&self, wal: &WalSet, procs: Option<&ProcRegistry>) -> ExecOut {
+        let mut out = ExecOut::new(wal.shards(), procs);
+        loop {
+            std::thread::park();
+            let last = self.stop.load(Ordering::Acquire);
+            for s in (0..wal.shards()).filter(|&s| wal.buffered(s) > 0) {
+                let _ = wal.flush(s);
+            }
+            let durable: Vec<u64> = (0..wal.shards()).map(|s| wal.durable_lsn(s)).collect();
+            self.settle(&mut out, wal, &durable, last);
+            if last {
+                return out;
+            }
+        }
+    }
+
+    /// Fill every withheld ack that is ready, outside the list lock: acked
+    /// once `durable` (the caller's watermark per shard) covers it, refused
+    /// `Unavailable` when its shard degraded under it (the frame stays
+    /// retained and may persist at rejoin: indeterminate, like any
+    /// un-acked write), shed when the log died or on the `last` round.
+    /// An ack filled above its shard's live watermark is counted in
+    /// `sync_acks_early`.
+    fn settle(&self, out: &mut ExecOut, wal: &WalSet, durable: &[u64], last: bool) {
+        let alive = wal.alive();
+        for (s, &durable) in durable.iter().enumerate() {
+            let writable = wal.health(s).writable();
+            let fate = |p: &PendingAck| match (alive, p.lsn <= durable, writable, last) {
+                (false, ..) => Some(Err(WalError::Dead)),
+                (_, true, ..) => Some(Ok(())),
+                (_, _, false, _) => Some(Err(WalError::Unavailable)),
+                (_, _, _, true) => Some(Err(WalError::Dead)),
+                _ => None,
+            };
+            let ready: Vec<PendingAck> =
+                self.list(s).extract_if(.., |p| fate(p).is_some()).collect();
+            let now = wal.durable_lsn(s);
+            for p in ready {
+                match fate(&p).expect("extracted as ready") {
+                    Ok(()) => {
+                        if p.lsn > now {
+                            wal.note_sync_ack_early();
+                        }
+                        out.finish(p.req, p.reply, p.service);
+                    }
+                    Err(why) => out.refuse(p.req, wal, why),
+                }
+            }
+        }
+    }
 }
 
 /// One executor thread: a registered backend handle and a write scratch
 /// per shard (any executor may coordinate a cross-shard request), its
-/// contention manager, the Sync acks it withholds, reusable buffers, and
-/// the report it hands back at join time.
+/// contention manager, reusable buffers, and the report it hands back at
+/// join time.
 struct Executor<'a, B: TmBackend> {
     domains: &'a [(B, KvStore)],
     shared: &'a Shared,
@@ -995,8 +1136,6 @@ struct Executor<'a, B: TmBackend> {
     /// pipeline serving calls pre-sizes for the larger bound.
     scratch_keys: usize,
     cm: ContentionManager,
-    /// Sync-mode acks waiting for their WAL record to become durable.
-    pending: Vec<PendingAck>,
     /// Post-image capture buffer for the update lane.
     writes: Writes,
     /// Read-only batch buffer.
@@ -1024,7 +1163,6 @@ impl<'a, B: TmBackend> Executor<'a, B> {
             scratches: domains.iter().map(|(_, st)| st.new_batch_scratch(scratch_keys)).collect(),
             scratch_keys,
             cm: ContentionManager::new(cfg.backoff, 0x9E37_79B9_7F4A_7C15 ^ (idx as u64 + 1)),
-            pending: Vec::new(),
             writes: Vec::new(),
             batch: Vec::with_capacity(cfg.ro_batch_max),
             out: ExecOut::new(domains.len(), shared.procs.as_deref()),
@@ -1075,10 +1213,10 @@ impl<'a, B: TmBackend> Executor<'a, B> {
                 self.serve_xshard_ro(req);
                 did_work = true;
             }
-            // Durability maintenance every iteration: group-commit flushes,
-            // settle Sync acks that became durable, take due checkpoints.
+            // Durability every iteration: kick the writer on a
+            // group-commit edge, take due checkpoints.
             if let Some(w) = wal {
-                self.wal_maintain(w, false);
+                self.kick_if_due(w, false);
                 for &s in &served {
                     if w.wants_checkpoint(s) {
                         self.checkpoint(w, s);
@@ -1093,10 +1231,11 @@ impl<'a, B: TmBackend> Executor<'a, B> {
             {
                 break;
             }
-            // Idle: nothing to batch behind, so force the group commit out
-            // before parking (bounds Sync ack latency at light load).
+            // Idle: nothing to batch behind, so have the writer push the
+            // group commit out before parking (bounds Sync ack latency at
+            // light load).
             if let Some(w) = wal {
-                self.wal_maintain(w, true);
+                self.kick_if_due(w, true);
             }
             // Give the chaos injector its seam, jitter the re-poll so a
             // large pool doesn't stampede the queue lock, then park briefly.
@@ -1105,20 +1244,6 @@ impl<'a, B: TmBackend> Executor<'a, B> {
             }
             self.cm.admission_jitter(cfg.idle_jitter_ns);
             shared.shards[served[0]].queue.wait_for_work(cfg.idle_wait);
-        }
-        // Final group commit: push every shard's tail out (cheap no-op on
-        // empty buffers), settle what became durable, and shed the rest —
-        // an un-durable Sync ack must never escape, even at shutdown.
-        if let Some(w) = wal {
-            if w.alive() {
-                for s in 0..self.domains.len() {
-                    let _ = w.flush(s);
-                }
-            }
-            self.wal_maintain(w, true);
-            for p in self.pending.drain(..) {
-                self.out.refuse(p.req, w, WalError::Dead);
-            }
         }
         self.shed_queued();
         self.out.backoffs = self.cm.backoffs;
@@ -1154,49 +1279,22 @@ impl<'a, B: TmBackend> Executor<'a, B> {
         }
     }
 
-    /// Per-iteration durability maintenance: group-commit flush decisions
-    /// and Sync-ack settlement.
-    ///
-    /// A served shard's buffer is flushed when the group is full, when the
-    /// shard's update lane has gone idle (no later commit to ride with), or
-    /// when `force`d (idle park / shutdown). Pending acks are settled
-    /// strictly by the durable-LSN watermark — an ack never outruns its
-    /// fsync. A dead WAL (simulated power loss) sheds every withheld ack:
-    /// those clients were never acked, matching what recovery will replay.
-    fn wal_maintain(&mut self, wal: &WalSet, force: bool) {
-        if wal.alive() {
-            for &s in &self.served {
-                let buffered = wal.buffered(s);
-                if buffered > 0
-                    && (force
-                        || buffered >= wal.group_commit_max()
-                        || self.shared.shards[s].queue.depths().1 == 0)
-                {
-                    let _ = wal.flush(s);
-                }
-            }
-            let mut i = 0;
-            while i < self.pending.len() {
-                let shard = self.pending[i].shard;
-                if wal.durable_lsn(shard) >= self.pending[i].lsn {
-                    let p = self.pending.swap_remove(i);
-                    self.out.finish(p.req, p.reply, p.service);
-                } else if !wal.health(shard).writable() {
-                    // The shard's log degraded under this ack: answer the
-                    // typed outcome now (never ack — the fsync didn't land).
-                    // The frame stays retained in the shard's buffer, so the
-                    // write may still persist at rejoin — indeterminate for
-                    // the client, like any un-acked write.
-                    let p = self.pending.swap_remove(i);
-                    self.out.refuse(p.req, wal, WalError::Unavailable);
-                } else {
-                    i += 1;
-                }
-            }
-        } else {
-            for p in self.pending.drain(..) {
-                self.out.refuse(p.req, wal, WalError::Dead);
-            }
+    /// Kick the log writer on a group-commit edge: a served shard's buffer
+    /// is full or its update lane has gone idle (no later commit to ride
+    /// with), or the executor is about to park (`idle`) with frames
+    /// buffered or acks withheld — the latter may already be durable
+    /// through another flusher and only need settling.
+    fn kick_if_due(&self, wal: &WalSet, idle: bool) {
+        let due = |s: usize| {
+            let buffered = wal.buffered(s);
+            buffered > 0
+                && (idle
+                    || buffered >= wal.group_commit_max()
+                    || self.shared.shards[s].queue.depths().1 == 0)
+        };
+        let group = &self.shared.group;
+        if self.served.iter().any(|&s| due(s)) || (idle && group.any_withheld()) {
+            group.kick();
         }
     }
 
@@ -1232,7 +1330,8 @@ impl<'a, B: TmBackend> Executor<'a, B> {
     /// happens after the pre-commit quiescence wait — strictly outside the
     /// hardware transaction (the DUMBO discipline) — and on the fall-back
     /// paths after the SGL/commit-lock serialization point. In Sync mode the
-    /// reply is withheld on `pending` until the record's fsync lands.
+    /// reply is handed to the log writer, which fills it once the record's
+    /// fsync lands.
     ///
     /// Procedure calls additionally take the shard's [`XLock`] for the
     /// duration of the serve. A procedure read-modify-writes keys that
@@ -1352,7 +1451,8 @@ impl<'a, B: TmBackend> Executor<'a, B> {
         }
         match (wal, appended) {
             (Some(w), Some(Ok(lsn))) if w.mode() == DurabilityMode::Sync => {
-                self.pending.push(PendingAck { req, reply, service, lsn, shard: s });
+                self.out.withheld += 1;
+                shared.group.list(s).push(PendingAck { req, reply, service, lsn });
             }
             // Committed in memory, but the record never made it: the log
             // died before the fsync (shed, never acked — exactly what
@@ -2119,6 +2219,147 @@ mod tests {
         let report = p.shutdown();
         assert_eq!(report.shed, 0);
         assert!(report.twopc.ro_multi >= 3, "boundary-spanning scans coordinated");
+    }
+
+    fn tmpdir(tag: &str) -> std::path::PathBuf {
+        let d =
+            std::env::temp_dir().join(format!("txkv-pipeline-test-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&d);
+        d
+    }
+
+    /// An update call that spins inside its transaction, holding the
+    /// shard's commit lock, until `HOLD` is cleared: it pins one executor
+    /// so that the other must take the next update.
+    struct Hold;
+
+    static HOLD: AtomicBool = AtomicBool::new(false);
+    static HELD: AtomicBool = AtomicBool::new(false);
+
+    impl Procedure for Hold {
+        fn id(&self) -> u64 {
+            3
+        }
+        fn name(&self) -> &'static str {
+            "hold"
+        }
+        fn run(&self, _: &mut ProcCtx<'_>, _: &[u64]) -> Result<Vec<u64>, Abort> {
+            HELD.store(true, Ordering::SeqCst);
+            while HOLD.load(Ordering::SeqCst) {
+                std::hint::spin_loop();
+            }
+            Ok(Vec::new())
+        }
+    }
+
+    fn durable_pipeline(mode: DurabilityMode, tag: &str) -> (Pipeline<SiHtm>, std::path::PathBuf) {
+        let dir = tmpdir(tag);
+        let wal = WalSet::open(&crate::DurabilityConfig::new(mode, &dir), 1).expect("open wal");
+        let backend = SiHtm::with_defaults(1 << 18);
+        let store = KvStore::create_with(
+            tm_api::TmBackend::memory(&backend),
+            0,
+            1 << 18,
+            (0..1024u64).map(|k| (k, k)),
+        );
+        let procs = Arc::new(ProcRegistry::new().register(Arc::new(Hold)));
+        let cfg = PipelineConfig { executors: 2, rw_queue_cap: 1024, ..PipelineConfig::quick() };
+        let domains = vec![(backend, store)];
+        (Pipeline::start_with(domains, ShardMap::hash(1), cfg, Some(wal), Some(procs)), dir)
+    }
+
+    /// `n` each of Put, Cas and MultiAdd on a 1-shard pipeline, with both
+    /// executors made to serve: a `Hold` call pins one of them until the
+    /// other has popped an update. Every update commits and writes one
+    /// record (each Cas expects its key's initial value). Returns the
+    /// update count; the `Hold` call is answered too.
+    fn submit_updates(client: &KvClient, n: u64) -> u64 {
+        HOLD.store(true, Ordering::SeqCst);
+        HELD.store(false, Ordering::SeqCst);
+        let hold = KvOp::Call { proc: 3, args: vec![], footprint: vec![0], read_only: false };
+        let held = client.submit(hold).unwrap();
+        while !HELD.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        let mut pending = Vec::new();
+        for i in 0..n {
+            pending.push(client.submit(KvOp::Put { key: i, val: i + 1 }).unwrap());
+            let k = 256 + i;
+            pending.push(client.submit(KvOp::Cas { key: k, expect: Some(k), new: 0 }).unwrap());
+            let deltas = vec![(512 + i % 64, 1), (768 + i % 64, -1)];
+            pending.push(client.submit(KvOp::MultiAdd { deltas }).unwrap());
+        }
+        while client.queue_depths().1 >= pending.len() {
+            std::thread::yield_now();
+        }
+        HOLD.store(false, Ordering::SeqCst);
+        assert_eq!(held.wait(), KvReply::CallOk(Vec::new()));
+        for pr in pending {
+            let reply = pr.wait();
+            assert!(matches!(reply, KvReply::Done { .. } | KvReply::CasOk), "{reply:?}");
+        }
+        3 * n
+    }
+
+    /// Both durable accounting tests pin an executor through `HOLD`, so
+    /// they take turns.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    #[test]
+    fn sync_acks_settled_by_the_writer_count_once() {
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        let (p, dir) = durable_pipeline(DurabilityMode::Sync, "sync-accounting");
+        let n = submit_updates(&p.client(), 100);
+        let report = p.shutdown();
+        assert_eq!(report.replies, n + 1, "each reply counted once, where it was filled");
+        assert_eq!(report.shed, 0);
+        assert_eq!(report.starved_executors, 0, "handing an ack to the writer is serving it");
+        let classes = [OpClass::Put, OpClass::Cas, OpClass::MultiAdd];
+        assert_eq!(classes.iter().map(|&c| report.class(c).e2e.count()).sum::<u64>(), n);
+        assert_eq!(report.wal.wal_appends, n);
+        assert_eq!(report.wal.sync_acks_early, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn async_shutdown_leaves_every_update_logged_and_flushed() {
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        let (p, dir) = durable_pipeline(DurabilityMode::Async, "async-accounting");
+        let n = submit_updates(&p.client(), 100);
+        let report = p.shutdown();
+        assert_eq!(report.replies, n + 1);
+        assert_eq!(report.wal.wal_appends, n);
+        assert_eq!(report.wal.fsynced_records, n, "the writer's last round flushes the tail");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Negative control for `sync_acks_early`: a settle step handed a
+    /// watermark ahead of the log fills the ack, and the fill-time check
+    /// against the live watermark counts it.
+    #[test]
+    fn settle_counts_an_ack_that_outran_its_fsync() {
+        let dir = tmpdir("early-ack");
+        let wal = WalSet::open(&crate::DurabilityConfig::new(DurabilityMode::Sync, &dir), 1)
+            .expect("open wal");
+        let lsn = wal.append(0, Append::Write(&vec![(1, Some(1))])).expect("append");
+        let group = GroupCommit::new(1);
+        let slot = Arc::new(ReplySlot::new());
+        let req = Request {
+            op: KvOp::Put { key: 1, val: 1 },
+            slot: slot.clone(),
+            enqueued: Instant::now(),
+        };
+        let reply = KvReply::Done { changed: true };
+        group.list(0).push(PendingAck { req, reply, service: Duration::ZERO, lsn });
+        let mut out = ExecOut::new(1, None);
+        group.settle(&mut out, &wal, &[wal.durable_lsn(0)], false);
+        assert_eq!(slot.try_get(), None, "not durable: the ack stays withheld");
+        assert_eq!(wal.stats().sync_acks_early, 0);
+        group.settle(&mut out, &wal, &[lsn], false);
+        assert_eq!(slot.try_get(), Some(KvReply::Done { changed: true }));
+        assert_eq!(wal.stats().sync_acks_early, 1, "the early fill went uncounted");
+        assert_eq!(out.served, 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -626,6 +626,56 @@ fn enospc_mid_checkpoint_keeps_previous_checkpoint_valid() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Group commit overlaps execution: with one executor and the fsyncs
+/// held, updates submitted while the first flush is stalled still
+/// execute and reach the log before that flush returns, and none of them
+/// is acked before its own flush has landed.
+#[test]
+fn storage_fault_stalled_fsync_overlaps_execution() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let _serial = faults::gate();
+    let dir = tmpdir("overlap");
+    let dcfg = DurabilityConfig::new(DurabilityMode::Sync, &dir);
+    let map = ShardMap::range(1, PER_SHARD);
+    let mk = |_| si_htm::SiHtm::with_defaults(1 << 16);
+    let (domains, wal, _) = recover_and_open(&dcfg, &map, mk, 0, 1 << 16).expect("open");
+    let cfg = PipelineConfig { executors: 1, ..pipeline_cfg() };
+    let pipeline = Pipeline::start_durable(domains, map, cfg, Arc::clone(&wal));
+    let client = pipeline.client();
+    let guard = faults::install(FaultPlan::default().tagged(dir.to_string_lossy()));
+    guard.hold_syncs();
+    let first = client.submit(KvOp::Put { key: 1, val: 1 }).expect("admitted");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while guard.report().held_syncs == 0 {
+        assert!(Instant::now() < deadline, "the first update's flush never reached its fsync");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let appended = wal.stats().wal_appends;
+    let later: Vec<_> =
+        (2..6u64).map(|k| client.submit(KvOp::Put { key: k, val: k }).expect("admitted")).collect();
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while wal.stats().wal_appends < appended + later.len() as u64 {
+        assert!(
+            Instant::now() < deadline,
+            "no update executed while the flush was stalled: the executor sits in its fsync"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(guard.report().held_syncs, 1, "the stalled flush is still the first one");
+    assert_eq!(first.try_get(), None, "an ack outran its stalled fsync");
+    assert!(later.iter().all(|r| r.try_get().is_none()), "an ack outran its fsync");
+    guard.release_syncs();
+    for r in std::iter::once(first).chain(later) {
+        assert!(matches!(r.wait(), KvReply::Done { .. }));
+    }
+    let report = pipeline.shutdown();
+    drop(guard);
+    assert_eq!(report.replies, 5);
+    assert_eq!(report.wal.sync_acks_early, 0, "an ack outran its fsync");
+    assert!(report.wal.fsync_batches >= 2, "the later updates needed a flush of their own");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 macro_rules! durability_suite {
     ($name:ident, $make:expr) => {
         mod $name {
