@@ -20,9 +20,9 @@
 //! Usage: `cargo run --release --bin chaos_soak [-- --smoke]`
 //! (`--smoke` is the short CI variant: fewer rates, shorter cells).
 
-use bench::Backend;
+use bench::cell::{self, Fields};
+use bench::{Backend, BackendVisitor};
 use htm_sim::HtmConfig;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -71,14 +71,12 @@ impl Cell {
         }
     }
 
-    fn json(&self) -> String {
-        format!(
-            "\"backend\": \"{}\", \"workload\": \"{}\", \"rate\": {}, \"threads\": {}",
-            self.backend.name(),
-            self.workload.name(),
-            self.rate,
-            self.threads
-        )
+    fn fields(&self) -> Fields {
+        Fields::new()
+            .str("backend", self.backend.name())
+            .str("workload", self.workload.name())
+            .num("rate", self.rate)
+            .num("threads", self.threads)
     }
 }
 
@@ -88,154 +86,107 @@ struct CellOutcome {
     invariant_err: Option<String>,
 }
 
-/// Drive one cell's workload on `backend` and check its invariant.
-fn drive<B: TmBackend>(backend: &B, cell: &Cell) -> (RunReport, Option<String>) {
-    let run_cfg = RunConfig::new(cell.threads, cell.warmup, cell.duration);
-    match cell.workload {
-        Workload::Bank => {
-            const ACCOUNTS: u64 = 64;
-            const INITIAL: u64 = 1000;
-            let bank = Bank::build(backend.memory(), 0, ACCOUNTS, INITIAL);
-            let expected = ACCOUNTS * INITIAL;
-            let broken = Arc::new(AtomicBool::new(false));
-            let report = run(backend, &run_cfg, |i| {
-                let mut w = BankWorker::new(bank, 0.2, expected, 0xBA2C ^ i as u64);
-                let broken = Arc::clone(&broken);
-                move |t: &mut B::Thread| {
-                    w.run_op(t);
-                    if w.broken_audits != 0 {
-                        broken.store(true, Ordering::Relaxed);
+/// Drive one cell's workload on a fresh backend and check its invariant.
+impl BackendVisitor for &Cell {
+    type Out = (RunReport, Option<String>);
+    fn visit<B: TmBackend>(self, mk: impl Fn() -> B) -> Self::Out {
+        let (backend, cell) = (&mk(), self);
+        let run_cfg = RunConfig::new(cell.threads, cell.warmup, cell.duration);
+        match cell.workload {
+            Workload::Bank => {
+                const ACCOUNTS: u64 = 64;
+                const INITIAL: u64 = 1000;
+                let bank = Bank::build(backend.memory(), 0, ACCOUNTS, INITIAL);
+                let expected = ACCOUNTS * INITIAL;
+                let broken = Arc::new(AtomicBool::new(false));
+                let report = run(backend, &run_cfg, |i| {
+                    let mut w = BankWorker::new(bank, 0.2, expected, 0xBA2C ^ i as u64);
+                    let broken = Arc::clone(&broken);
+                    move |t: &mut B::Thread| {
+                        w.run_op(t);
+                        if w.broken_audits != 0 {
+                            broken.store(true, Ordering::Relaxed);
+                        }
                     }
-                }
-            });
-            let total = bank.total(backend.memory());
-            let err = if total != expected {
-                Some(format!("bank total drifted: {total} != {expected}"))
-            } else if broken.load(Ordering::Relaxed) {
-                Some("bank audit observed an inconsistent snapshot".to_string())
-            } else {
-                None
-            };
-            (report, err)
-        }
-        Workload::BTree => {
-            const KEYS: u64 = 512;
-            let alloc = Arc::new(LineAlloc::new(0, backend.memory().len() as u64));
-            let tree = TxBTree::build(backend.memory(), &alloc, 1..=KEYS);
-            let threads = cell.threads;
-            let report = run(backend, &run_cfg, |i| {
-                let mut w = BTreeWorker::new(tree, Arc::clone(&alloc), KEYS, 0.5, 0.1, i, threads)
-                    .with_scan_limit(64);
-                move |t: &mut B::Thread| w.run_op(t)
-            });
-            // `audit` panics on any structural violation; the monitor thread
-            // turns that panic into a reported cell failure.
-            let keys = tree.audit(backend.memory());
-            let err = if keys.is_empty() {
-                Some("btree audit returned an empty tree".to_string())
-            } else {
-                None
-            };
-            (report, err)
+                });
+                let total = bank.total(backend.memory());
+                let err = if total != expected {
+                    Some(format!("bank total drifted: {total} != {expected}"))
+                } else if broken.load(Ordering::Relaxed) {
+                    Some("bank audit observed an inconsistent snapshot".to_string())
+                } else {
+                    None
+                };
+                (report, err)
+            }
+            Workload::BTree => {
+                const KEYS: u64 = 512;
+                let alloc = Arc::new(LineAlloc::new(0, backend.memory().len() as u64));
+                let tree = TxBTree::build(backend.memory(), &alloc, 1..=KEYS);
+                let threads = cell.threads;
+                let report = run(backend, &run_cfg, |i| {
+                    let mut w =
+                        BTreeWorker::new(tree, Arc::clone(&alloc), KEYS, 0.5, 0.1, i, threads)
+                            .with_scan_limit(64);
+                    move |t: &mut B::Thread| w.run_op(t)
+                });
+                // `audit` panics on any structural violation; the monitor thread
+                // turns that panic into a reported cell failure.
+                let keys = tree.audit(backend.memory());
+                let err = if keys.is_empty() {
+                    Some("btree audit returned an empty tree".to_string())
+                } else {
+                    None
+                };
+                (report, err)
+            }
         }
     }
 }
 
-fn run_cell(cell: &Cell) -> (RunReport, Option<String>) {
+/// Execute a cell under the chaos injector and a liveness monitor.
+fn monitored(cell: &Cell, index: usize, deadline: Duration) -> Result<CellOutcome, String> {
     let words = match cell.workload {
         Workload::Bank => Bank::memory_words(64),
         Workload::BTree => btree::memory_words(512 * 4),
     };
+    let guard = chaos::install(cell.chaos_config(index));
+    let (c, backend) = (cell.clone(), cell.backend);
     // The soak opts into the contention manager (default-off on the bench
     // path): injected abort storms are exactly the regime it exists for.
     let backoff = BackoffPolicy::exponential();
-    match cell.backend {
-        Backend::Htm => {
-            let cfg = htm_sgl::HtmSglConfig { backoff, ..Default::default() };
-            drive(&htm_sgl::HtmSgl::new(HtmConfig::default(), words, cfg), cell)
-        }
-        Backend::SiHtm => {
-            let cfg = si_htm::SiHtmConfig { backoff, ..Default::default() };
-            drive(&si_htm::SiHtm::new(HtmConfig::default(), words, cfg), cell)
-        }
-        Backend::P8tm => {
-            let cfg = p8tm::P8tmConfig { backoff, ..Default::default() };
-            drive(&p8tm::P8tm::new(HtmConfig::default(), words, cfg), cell)
-        }
-        Backend::Silo => {
-            let cfg = silo::SiloConfig { backoff, ..Default::default() };
-            drive(&silo::Silo::with_config(words, cfg), cell)
-        }
-    }
-}
-
-/// Execute a cell under a liveness monitor: the run happens on a spawned
-/// thread; if it neither finishes nor panics before `deadline`, the cell is
-/// declared hung.
-fn monitored(cell: Cell, index: usize, deadline: Duration) -> Result<CellOutcome, String> {
-    let guard = chaos::install(cell.chaos_config(index));
-    let worker = {
-        let cell = cell.clone();
-        std::thread::spawn(move || run_cell(&cell))
-    };
-    let t0 = Instant::now();
-    while !worker.is_finished() {
-        if t0.elapsed() > deadline {
-            // The hung worker cannot be reclaimed; the caller writes the
-            // failure artifact and exits, which tears it down.
-            std::mem::forget(guard);
-            return Err(format!("cell hung (no completion within {deadline:?})"));
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let chaos_report = guard.report();
-    drop(guard);
-    match worker.join() {
+    match cell::watch(deadline, move || backend.with(HtmConfig::default(), words, backoff, &c)) {
         Ok((report, invariant_err)) => {
-            Ok(CellOutcome { report, chaos: chaos_report, invariant_err })
+            Ok(CellOutcome { report, chaos: guard.report(), invariant_err })
         }
-        Err(p) => {
-            let msg = p
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            Err(format!("cell panicked: {msg}"))
+        Err(detail) => {
+            // The caller exits on any error; a hung worker may still be
+            // running under the injector, so it stays installed until then.
+            std::mem::forget(guard);
+            Err(detail)
         }
     }
 }
 
-fn outcome_json(o: &CellOutcome) -> String {
+fn outcome_fields(o: &CellOutcome) -> Fields {
     let t = &o.report.total;
-    format!(
-        "\"throughput\": {:.0}, \"commits\": {}, \"aborts\": {}, \"sgl_commits\": {}, \
-         \"sgl_acquisitions\": {}, \"starved_threads\": {}, \"watchdog_quiesce_trips\": {}, \
-         \"watchdog_drain_trips\": {}, \"backoffs\": {}, \"injected_aborts\": {}, \
-         \"injected_stalls\": {}",
-        o.report.throughput(),
-        t.commits,
-        t.aborts(),
-        t.sgl_commits,
-        t.sgl_acquisitions,
-        o.report.starved_threads,
-        t.watchdog_quiesce_trips,
-        t.watchdog_drain_trips,
-        t.backoffs,
-        o.chaos.injected_aborts,
-        o.chaos.injected_stalls,
-    )
+    Fields::new()
+        .fixed("throughput", o.report.throughput(), 0)
+        .num("commits", t.commits)
+        .num("aborts", t.aborts())
+        .num("sgl_commits", t.sgl_commits)
+        .num("sgl_acquisitions", t.sgl_acquisitions)
+        .num("starved_threads", o.report.starved_threads)
+        .num("watchdog_quiesce_trips", t.watchdog_quiesce_trips)
+        .num("watchdog_drain_trips", t.watchdog_drain_trips)
+        .num("backoffs", t.backoffs)
+        .num("injected_aborts", o.chaos.injected_aborts)
+        .num("injected_stalls", o.chaos.injected_stalls)
 }
 
 fn fail(cell: &Cell, detail: &str, outcome: Option<&CellOutcome>) -> ! {
-    let mut body = format!("{{{}, \"failure\": {:?}", cell.json(), detail);
-    if let Some(o) = outcome {
-        let _ = write!(body, ", {}", outcome_json(o));
-    }
-    body.push_str("}\n");
-    std::fs::write("CHAOS_FAILURE.json", &body).expect("write CHAOS_FAILURE.json");
-    eprintln!("FAIL {} {} rate={}: {detail}", cell.backend.name(), cell.workload.name(), cell.rate);
-    eprintln!("failing configuration written to CHAOS_FAILURE.json");
-    std::process::exit(1);
+    let observed = outcome.map(outcome_fields).unwrap_or_default();
+    cell::fail("CHAOS_FAILURE.json", "chaos_soak", &cell.fields(), detail, &observed)
 }
 
 fn main() {
@@ -256,10 +207,10 @@ fn main() {
         }
     }
 
-    let mut json = String::from("[\n");
+    let mut rows = Vec::new();
     let t0 = Instant::now();
     for (index, cell) in cells.iter().enumerate() {
-        match monitored(cell.clone(), index, deadline) {
+        match monitored(cell, index, deadline) {
             Ok(outcome) => {
                 if let Some(err) = &outcome.invariant_err {
                     fail(cell, err, Some(&outcome));
@@ -267,28 +218,14 @@ fn main() {
                 if outcome.report.total.commits == 0 {
                     fail(cell, "no forward progress (zero commits)", Some(&outcome));
                 }
-                println!(
-                    "ok   {:6} {:5} rate={:<5} {:>9.0} tx/s  commits={} injected_aborts={} \
-                     stalls={} sgl={} wd={}",
-                    cell.backend.name(),
-                    cell.workload.name(),
-                    cell.rate,
-                    outcome.report.throughput(),
-                    outcome.report.total.commits,
-                    outcome.chaos.injected_aborts,
-                    outcome.chaos.injected_stalls,
-                    outcome.report.total.sgl_commits,
-                    outcome.report.total.watchdog_quiesce_trips
-                        + outcome.report.total.watchdog_drain_trips,
-                );
-                let sep = if index + 1 == cells.len() { "\n" } else { ",\n" };
-                let _ = write!(json, "  {{{}, {}}}{sep}", cell.json(), outcome_json(&outcome));
+                let row = cell.fields().extend(&outcome_fields(&outcome));
+                println!("ok   {}", row.render());
+                rows.push(row);
             }
             Err(detail) => fail(cell, &detail, None),
         }
     }
-    json.push(']');
-    bench::schema::CHAOS_SOAK.write("CHAOS_SOAK.json", &json).expect("write CHAOS_SOAK.json");
+    bench::schema::CHAOS_SOAK.write_rows("CHAOS_SOAK.json", &rows).expect("write CHAOS_SOAK.json");
     println!(
         "chaos soak passed: {} cells ({} backends x {} rates x 2 workloads) in {:.1?} -> CHAOS_SOAK.json",
         cells.len(),

@@ -41,14 +41,14 @@
 //!
 //! Usage: `cargo run --release --bin storage_soak [-- --smoke]`
 
-use bench::{schema, Backend};
+use bench::cell::{self, Fields};
+use bench::{schema, Backend, BackendVisitor};
+use htm_sim::HtmConfig;
 use std::collections::HashMap;
-use std::fmt::Write as _;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tm_api::TmBackend;
+use tm_api::{BackoffPolicy, TmBackend};
 use txkv::durability::storage as faults;
 use txkv::{
     recover, recover_and_open, DurabilityConfig, DurabilityMode, FaultPlan, FaultTarget, KvClient,
@@ -132,12 +132,6 @@ fn splitmix(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(tag);
-    let _ = std::fs::remove_dir_all(&d);
-    d
 }
 
 fn shard_of(k: u64) -> usize {
@@ -312,106 +306,105 @@ fn force_checkpoints(wal: &WalSet) {
     }
 }
 
-fn run_cell<B: TmBackend>(
-    mut mk: impl FnMut(usize) -> B,
+/// One cell: the plan, the load, the WAL directory (whose path also
+/// tags the files the plan may fault) and the fault seed.
+struct Cell<'a> {
     plan: Plan,
-    cfg: &Cfg,
-    tag: &str,
+    cfg: &'a Cfg,
+    dir: &'a Path,
     seed: u64,
-) -> CellOut {
-    let dir = tmpdir(tag);
-    let dcfg = DurabilityConfig {
-        group_commit_max: 8,
-        checkpoint_every: 32,
-        flush_retries: if plan == Plan::DeadShard { 1 } else { 3 },
-        retry_base_us: 10,
-        maintenance_interval_ms: 5,
-        scrub_interval_ms: if plan == Plan::Corrupt { 25 } else { 0 },
-        ..DurabilityConfig::new(DurabilityMode::Sync, &dir)
-    };
-    let map = ShardMap::range(SHARDS, PER_SHARD);
-    let (domains, wal, _) =
-        recover_and_open(&dcfg, &map, &mut mk, 0, WORDS).expect("open durable domains");
-    let pcfg = PipelineConfig {
-        executors: 4,
-        multi_key_max: 4,
-        drain_grace: Duration::from_millis(500),
-        ..PipelineConfig::quick()
-    };
-    let pipeline = Pipeline::start_durable(domains, map, pcfg, Arc::clone(&wal));
-    let client = pipeline.client();
+}
 
-    // Seed the transfer accounts before the weather turns: every seed is
-    // acked, so the conservation baseline is durable.
-    for k in (0..KEYS).step_by(2) {
-        let reply = call(&client, KvOp::Put { key: k, val: INITIAL });
-        assert!(matches!(reply, Ok(KvReply::Done { .. })), "seed put answered {reply:?}");
-    }
+impl BackendVisitor for Cell<'_> {
+    type Out = CellOut;
+    fn visit<B: TmBackend>(self, mk: impl Fn() -> B) -> CellOut {
+        let Cell { plan, cfg, dir, seed } = self;
+        let mk = |_| mk();
+        let _ = std::fs::remove_dir_all(dir);
+        let dcfg = DurabilityConfig {
+            group_commit_max: 8,
+            checkpoint_every: 32,
+            flush_retries: if plan == Plan::DeadShard { 1 } else { 3 },
+            retry_base_us: 10,
+            maintenance_interval_ms: 5,
+            scrub_interval_ms: if plan == Plan::Corrupt { 25 } else { 0 },
+            ..DurabilityConfig::new(DurabilityMode::Sync, dir)
+        };
+        let map = ShardMap::range(SHARDS, PER_SHARD);
+        let (domains, wal, _) =
+            recover_and_open(&dcfg, &map, &mk, 0, WORDS).expect("open durable domains");
+        let pcfg = PipelineConfig {
+            executors: 4,
+            multi_key_max: 4,
+            drain_grace: Duration::from_millis(500),
+            ..PipelineConfig::quick()
+        };
+        let pipeline = Pipeline::start_durable(domains, map, pcfg, Arc::clone(&wal));
+        let client = pipeline.client();
 
-    let guard = faults::install(plan.fault_plan(tag, seed));
-    let mut tally = Tally::default();
+        // Seed the transfer accounts before the weather turns: every seed is
+        // acked, so the conservation baseline is durable.
+        for k in (0..KEYS).step_by(2) {
+            let reply = call(&client, KvOp::Put { key: k, val: INITIAL });
+            assert!(matches!(reply, Ok(KvReply::Done { .. })), "seed put answered {reply:?}");
+        }
 
-    // Phase 1: load under active faults.
-    drive_phase(&pipeline, Some(plan), cfg, cfg.ops_per_client, 0, &mut tally);
-    if plan == Plan::DeadShard {
-        assert!(
-            !wal.health(BAD_SHARD).writable(),
-            "permanent fsync failure never degraded shard {BAD_SHARD} (health {:?})",
-            wal.health_names()
-        );
-    }
+        let guard = faults::install(plan.fault_plan(&dir.to_string_lossy(), seed));
+        let mut tally = Tally::default();
 
-    // Heal the medium; the background probes must rejoin every shard,
-    // after which a short second phase runs at full ack rate (any
-    // refusal in it is a bug — see `may_refuse`).
-    guard.clear();
-    wait_writable(&wal, plan.name());
-    drive_phase(&pipeline, None, cfg, cfg.ops_per_client / 4, cfg.ops_per_client + 1, &mut tally);
-    if plan == Plan::Corrupt {
-        force_checkpoints(&wal);
-    }
+        // Phase 1: load under active faults.
+        drive_phase(&pipeline, Some(plan), cfg, cfg.ops_per_client, 0, &mut tally);
+        if plan == Plan::DeadShard {
+            assert!(
+                !wal.health(BAD_SHARD).writable(),
+                "permanent fsync failure never degraded shard {BAD_SHARD} (health {:?})",
+                wal.health_names()
+            );
+        }
 
-    // Pull the plug and recover: every acked write must be on disk.
-    wal.halt_all();
-    let report = pipeline.shutdown();
-    let injected = guard.report();
-    drop(guard);
+        // Heal the medium; the background probes must rejoin every shard,
+        // after which a short second phase runs at full ack rate (any
+        // refusal in it is a bug — see `may_refuse`).
+        guard.clear();
+        wait_writable(&wal, plan.name());
+        let ops = cfg.ops_per_client;
+        drive_phase(&pipeline, None, cfg, ops / 4, ops + 1, &mut tally);
+        if plan == Plan::Corrupt {
+            force_checkpoints(&wal);
+        }
 
-    let (rdomains, _report) = recover(&dir, &map, &mut mk, 0, WORDS).expect("recovery failed");
-    let read = |k: u64| {
-        let s = shard_of(k);
-        rdomains[s].1.load_raw(rdomains[s].0.memory(), k)
-    };
-    let total: u64 = (0..KEYS).step_by(2).map(|k| read(k).unwrap_or(0)).sum();
-    assert_eq!(total, EXPECTED_TOTAL, "cross-shard conservation broken across recovery");
-    let mut recovered_keys = 0u64;
-    for (&k, &v) in &tally.acked {
-        let got = read(k).unwrap_or(0);
-        assert!(got >= v, "acked write lost: key {k} acked {v}, recovered {got}");
-        recovered_keys += 1;
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    CellOut {
-        report,
-        injected,
-        acked_puts: tally.acked_puts,
-        sheds: tally.sheds,
-        healthy_refusals: tally.healthy_refusals,
-        recovered_keys,
+        // Pull the plug and recover: every acked write must be on disk.
+        wal.halt_all();
+        let report = pipeline.shutdown();
+        let injected = guard.report();
+        drop(guard);
+
+        let (rdomains, _report) = recover(dir, &map, &mk, 0, WORDS).expect("recovery failed");
+        let read = |k: u64| {
+            let s = shard_of(k);
+            rdomains[s].1.load_raw(rdomains[s].0.memory(), k)
+        };
+        let total: u64 = (0..KEYS).step_by(2).map(|k| read(k).unwrap_or(0)).sum();
+        assert_eq!(total, EXPECTED_TOTAL, "cross-shard conservation broken across recovery");
+        let mut recovered_keys = 0u64;
+        for (&k, &v) in &tally.acked {
+            let got = read(k).unwrap_or(0);
+            assert!(got >= v, "acked write lost: key {k} acked {v}, recovered {got}");
+            recovered_keys += 1;
+        }
+        let _ = std::fs::remove_dir_all(dir);
+        CellOut {
+            report,
+            injected,
+            acked_puts: tally.acked_puts,
+            sheds: tally.sheds,
+            healthy_refusals: tally.healthy_refusals,
+            recovered_keys,
+        }
     }
 }
 
 // ------------------------------------------------- monitor + reporting
-
-fn dispatch(backend: Backend, plan: Plan, cfg: &Cfg, tag: &str, seed: u64) -> CellOut {
-    let words = WORDS as usize;
-    match backend {
-        Backend::Htm => run_cell(|_s| htm_sgl::HtmSgl::with_defaults(words), plan, cfg, tag, seed),
-        Backend::SiHtm => run_cell(|_s| si_htm::SiHtm::with_defaults(words), plan, cfg, tag, seed),
-        Backend::P8tm => run_cell(|_s| p8tm::P8tm::with_defaults(words), plan, cfg, tag, seed),
-        Backend::Silo => run_cell(|_s| silo::Silo::with_defaults(words), plan, cfg, tag, seed),
-    }
-}
 
 /// Post-run checks of the degradation counters the plan must have moved
 /// (the hard invariants are asserted inside the cell).
@@ -466,100 +459,48 @@ fn check(plan: Plan, o: &CellOut) -> Result<(), String> {
     Ok(())
 }
 
-fn row_json(backend: Backend, plan: Plan, o: &CellOut) -> String {
+/// What a cell served, shed, recovered and had injected.
+fn counters(o: &CellOut) -> Fields {
     let w = &o.report.wal;
-    format!(
-        "{{\"backend\": \"{}\", \"plan\": \"{}\", \"replies\": {}, \"acked_puts\": {}, \
-         \"sheds\": {}, \"healthy_refusals\": {}, \"recovered_keys\": {}, \
-         \"final_health\": {:?}, \"wal_appends\": {}, \"wal_retries\": {}, \
-         \"degraded_sheds\": {}, \"wal_rejoins\": {}, \"ckpt_failures\": {}, \
-         \"scrub_passes\": {}, \"scrub_corruptions\": {}, \"wal_sync_acks_early\": {}, \
-         \"injected_sync_fails\": {}, \"injected_short_writes\": {}, \
-         \"injected_corruptions\": {}, \"injected_stalls\": {}, \"verdict\": \"pass\"}}",
-        backend.name(),
-        plan.name(),
-        o.report.replies,
-        o.acked_puts,
-        o.sheds,
-        o.healthy_refusals,
-        o.recovered_keys,
-        o.report.shard_health,
-        w.wal_appends,
-        w.wal_retries,
-        w.degraded_sheds,
-        w.wal_rejoins,
-        w.checkpoint_failures,
-        w.scrub_passes,
-        w.scrub_corruptions,
-        w.sync_acks_early,
-        o.injected.sync_fails,
-        o.injected.short_writes,
-        o.injected.corruptions,
-        o.injected.stalls,
-    )
+    Fields::new()
+        .num("replies", o.report.replies)
+        .num("acked_puts", o.acked_puts)
+        .num("sheds", o.sheds)
+        .num("healthy_refusals", o.healthy_refusals)
+        .num("recovered_keys", o.recovered_keys)
+        .strs("final_health", &o.report.shard_health)
+        .num("wal_appends", w.wal_appends)
+        .num("wal_retries", w.wal_retries)
+        .num("degraded_sheds", w.degraded_sheds)
+        .num("wal_rejoins", w.wal_rejoins)
+        .num("ckpt_failures", w.checkpoint_failures)
+        .num("scrub_passes", w.scrub_passes)
+        .num("scrub_corruptions", w.scrub_corruptions)
+        .num("wal_sync_acks_early", w.sync_acks_early)
+        .num("injected_sync_fails", o.injected.sync_fails)
+        .num("injected_short_writes", o.injected.short_writes)
+        .num("injected_corruptions", o.injected.corruptions)
+        .num("injected_stalls", o.injected.stalls)
+}
+
+fn cell_fields(backend: Backend, plan: Plan) -> Fields {
+    Fields::new().str("backend", backend.name()).str("plan", plan.name())
 }
 
 fn fail(backend: Backend, plan: Plan, detail: &str, o: Option<&CellOut>) -> ! {
-    let mut body = format!(
-        "{{\"backend\": \"{}\", \"plan\": \"{}\", \"failure\": {:?}",
-        backend.name(),
-        plan.name(),
-        detail
-    );
-    if let Some(o) = o {
-        let w = &o.report.wal;
-        let _ = write!(
-            body,
-            ", \"final_health\": {:?}, \"acked_puts\": {}, \"sheds\": {}, \
-             \"healthy_refusals\": {}, \"wal_retries\": {}, \"degraded_sheds\": {}, \
-             \"wal_rejoins\": {}, \"ckpt_failures\": {}, \"scrub_corruptions\": {}",
-            o.report.shard_health,
-            o.acked_puts,
-            o.sheds,
-            o.healthy_refusals,
-            w.wal_retries,
-            w.degraded_sheds,
-            w.wal_rejoins,
-            w.checkpoint_failures,
-            w.scrub_corruptions,
-        );
-    }
-    body.push_str("}\n");
-    std::fs::write("STORAGE_FAULT_FAILURE.json", &body).expect("write STORAGE_FAULT_FAILURE.json");
-    eprintln!("FAIL {} {}: {detail}", backend.name(), plan.name());
-    eprintln!("failing configuration written to STORAGE_FAULT_FAILURE.json");
-    std::process::exit(1);
+    let observed = o.map(counters).unwrap_or_default();
+    let path = "STORAGE_FAULT_FAILURE.json";
+    cell::fail(path, "storage_soak", &cell_fields(backend, plan), detail, &observed)
 }
 
 /// Run one cell on a watched thread: a hang is a reported failure.
 fn monitored(backend: Backend, plan: Plan, cfg: &Cfg, index: usize) -> Result<CellOut, String> {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let tag = format!(
-        "txkv-storage-soak-{}-{}-{}",
-        std::process::id(),
-        plan.name(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    );
-    let worker = {
-        let cfg = cfg.clone();
-        let seed = 0x5EED ^ (index as u64).wrapping_mul(0x9E37_79B9);
-        std::thread::spawn(move || dispatch(backend, plan, &cfg, &tag, seed))
-    };
-    let deadline = Duration::from_secs(180);
-    let t0 = Instant::now();
-    while !worker.is_finished() {
-        if t0.elapsed() > deadline {
-            return Err(format!("cell hung (no completion within {deadline:?})"));
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    worker.join().map_err(|p| {
-        let msg = p
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_else(|| "non-string panic payload".to_string());
-        format!("cell panicked: {msg}")
+    let dir = cell::scratch_path(&format!("txkv-storage-soak-{}", plan.name()), "");
+    let cfg = cfg.clone();
+    let seed = 0x5EED ^ (index as u64).wrapping_mul(0x9E37_79B9);
+    cell::watch(Duration::from_secs(180), move || {
+        let cell = Cell { plan, cfg: &cfg, dir: &dir, seed };
+        backend.with(HtmConfig::default(), WORDS as usize, BackoffPolicy::default(), cell)
     })
 }
 
@@ -586,39 +527,17 @@ fn main() {
                     if let Err(detail) = check(plan, &out) {
                         fail(backend, plan, &detail, Some(&out));
                     }
-                    println!(
-                        "ok   {:6} {:11} replies={:<6} acked_puts={:<5} sheds={:<5} \
-                         retries={} rejoins={} ckpt_fails={} scrub={}p/{}c injected[fsync={} \
-                         short={} corrupt={} stall={}]",
-                        backend.name(),
-                        plan.name(),
-                        out.report.replies,
-                        out.acked_puts,
-                        out.sheds,
-                        out.report.wal.wal_retries,
-                        out.report.wal.wal_rejoins,
-                        out.report.wal.checkpoint_failures,
-                        out.report.wal.scrub_passes,
-                        out.report.wal.scrub_corruptions,
-                        out.injected.sync_fails,
-                        out.injected.short_writes,
-                        out.injected.corruptions,
-                        out.injected.stalls,
-                    );
-                    rows.push(row_json(backend, plan, &out));
+                    let row =
+                        cell_fields(backend, plan).extend(&counters(&out)).str("verdict", "pass");
+                    println!("ok   {}", row.render());
+                    rows.push(row);
                 }
                 Err(detail) => fail(backend, plan, &detail, None),
             }
         }
     }
 
-    let mut json = String::from("[\n");
-    for (i, row) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        let _ = writeln!(json, "  {row}{sep}");
-    }
-    json.push(']');
-    schema::STORAGE_SOAK.write("STORAGE_SOAK.json", &json).expect("write STORAGE_SOAK.json");
+    schema::STORAGE_SOAK.write_rows("STORAGE_SOAK.json", &rows).expect("write STORAGE_SOAK.json");
     println!(
         "storage soak passed: {} cells ({} backends x {} plans) in {:.1?} -> STORAGE_SOAK.json",
         rows.len(),

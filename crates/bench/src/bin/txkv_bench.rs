@@ -59,22 +59,16 @@
 //!   client-observed round-trip percentiles.
 //!
 //! Results go to `BENCH_TXKV.json` in the versioned `bench::schema`
-//! envelope (v6: adds `offered_per_sec` — offered load over the arrival
-//! window only, excluding warm-up and drain — and the per-tenant net
-//! rows; v5 added the storage-fault health columns — see
-//! `bench::schema`; v4 added `workload` and `tx_class`; v3 added the
-//! `durability` column and `wal_*` counters; v2 added `shards`,
-//! `cross_shard_pct`, `tick_us`, `ro_replies_per_sec` and the `twopc_*`
-//! counters). With
-//! `--assert-service` the run enforces the service-level acceptance
-//! checks (no starved executors, RO batching engaged, backend-appropriate
-//! RO-abort expectations — see `bench::schema` — overload sheds typed,
-//! cross-shard 2PC clean when chaos is off, and on durable runs: WAL
-//! appends happened, fsyncs happened, no sync ack ever preceded its
-//! fsync, no dead-log sheds); a violation writes
-//! `TXKV_FAILURE.json` and exits non-zero, mirroring the chaos-soak
-//! failure-artifact pattern. `--chaos` arms the runtime fault injector
-//! for the open-loop phase and checks liveness under a deadline.
+//! envelope (`bench::schema::BENCH_TXKV` documents every column and the
+//! version that added it). With `--assert-service` the run enforces the
+//! service-level acceptance checks (no starved executors, RO batching
+//! engaged, backend-appropriate RO-abort expectations — see
+//! `bench::schema` — overload sheds typed, cross-shard 2PC clean when
+//! chaos is off, and on durable runs: WAL appends happened, fsyncs
+//! happened, no sync ack ever preceded its fsync, no dead-log sheds); a
+//! violation writes `TXKV_FAILURE.json` (schema `failure`, shared by every
+//! soak binary) and exits non-zero. `--chaos` arms the runtime fault
+//! injector for the open-loop phase and checks liveness under a deadline.
 //!
 //! `--storage-faults` arms the *storage* fault injector
 //! (`txkv::durability::storage`) for the whole run: probabilistic fsync
@@ -94,17 +88,17 @@
 //!         [--connect ADDR] [--connect-uds PATH] [--tenant N] [--token T]
 //!         [--chaos] [--storage-faults] [--assert-service]`
 
-use bench::{schema, Backend};
+use bench::cell::{self, Fields};
+use bench::{schema, Backend, BackendVisitor};
 use htm_sim::HtmConfig;
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
-use tm_api::{BackoffPolicy, TmBackend};
+use tm_api::{BackoffPolicy, LatencyHist, TmBackend};
 use tpcc::service::{self, MixOutcome, TxClass};
 use tpcc::{TpccConfig, TxMix};
 use txkv::durability::storage as storage_faults;
 use txkv::shard::build_domains;
 use txkv::{
-    DurabilityConfig, DurabilityMode, FaultPlan, FaultTarget, KvError, KvOp, Pipeline,
+    DurabilityConfig, DurabilityMode, FaultPlan, FaultTarget, KvClient, KvError, KvOp, Pipeline,
     PipelineConfig, ServiceReport, ShardMap, WalSet,
 };
 use txkv_net::{NetClient, NetReport, NetServer, NetServerConfig, ShedConfig, TenantSpec};
@@ -319,13 +313,6 @@ struct ModeOut {
     tick_us: u64,
 }
 
-impl ModeOut {
-    /// Offered load over the arrival window (accepted + refused), per sec.
-    fn offered_per_sec(&self) -> f64 {
-        (self.submitted + self.rejected) as f64 / self.arrival.as_secs_f64().max(1e-9)
-    }
-}
-
 fn pipeline_cfg(args: &Args) -> PipelineConfig {
     PipelineConfig {
         executors: args.executors,
@@ -355,29 +342,35 @@ fn entries(shards: usize) -> impl Iterator<Item = (u64, u64)> + Clone {
 /// Pacing is per-arrival with a tick of `max(1/rate, 200 µs)` — fine
 /// enough that arrival quantization no longer dominates e2e p90 (the old
 /// 1 ms tick put ~1.3 ms of pure batching noise on every percentile).
-fn open_loop<B: TmBackend>(pipeline: Pipeline<B>, args: &Args) -> ModeOut {
+/// A mode's load: `(submitted, rejected, tick_us)`, the last the effective
+/// open-loop arrival tick (0 for non-paced modes).
+type Load = (u64, u64, u64);
+
+/// Fire-and-forget one op (latency is recorded at reply), counting it in
+/// `counts` as `(submitted, rejected)`. A degraded shard refuses updates
+/// with a typed error at admission; under --storage-faults that is the
+/// designed answer, counted with the overload rejections.
+fn fire(client: &KvClient, op: KvOp, counts: &mut (u64, u64)) {
+    match client.submit(op) {
+        Ok(_) => counts.0 += 1,
+        Err(KvError::Overloaded { .. }) | Err(KvError::Unavailable { .. }) => counts.1 += 1,
+        Err(e) => panic!("submit failed: {e}"),
+    }
+}
+
+fn open_loop<B: TmBackend>(pipeline: &Pipeline<B>, args: &Args) -> Load {
     let interval_ns = (1_000_000_000u64 / args.rate.max(1)).max(1);
     let tick_ns = interval_ns.max(200_000);
     let per_tick = (tick_ns / interval_ns).max(1);
     let tick = Duration::from_nanos(tick_ns);
     let t0 = Instant::now();
-    let (mut submitted, mut rejected) = (0u64, 0u64);
+    let mut counts = (0u64, 0u64);
     let client = pipeline.client();
     let mut rng = 0x0B16_5EED ^ args.rate ^ ((args.shards as u64) << 32);
     let mut tick_no = 0u32;
     while t0.elapsed() < args.duration {
         for _ in 0..per_tick {
-            match client.submit(gen_op(&mut rng, args)) {
-                Ok(pending) => {
-                    drop(pending); // fire and forget: latency recorded at reply
-                    submitted += 1;
-                }
-                // A degraded shard refuses updates with a typed error at
-                // admission; under --storage-faults that is the designed
-                // answer, counted with the overload rejections.
-                Err(KvError::Overloaded { .. }) | Err(KvError::Unavailable { .. }) => rejected += 1,
-                Err(e) => panic!("open-loop submit failed: {e}"),
-            }
+            fire(&client, gen_op(&mut rng, args), &mut counts);
         }
         tick_no += 1;
         let next_edge = tick * tick_no;
@@ -386,14 +379,11 @@ fn open_loop<B: TmBackend>(pipeline: Pipeline<B>, args: &Args) -> ModeOut {
             std::thread::sleep(next_edge - elapsed);
         }
     }
-    let arrival = t0.elapsed();
-    let report = pipeline.shutdown();
-    ModeOut { report, submitted, rejected, wall: t0.elapsed(), arrival, tick_us: tick_ns / 1000 }
+    (counts.0, counts.1, tick_ns / 1000)
 }
 
 /// Closed loop: blocking clients, one outstanding request each.
-fn closed_loop<B: TmBackend>(pipeline: Pipeline<B>, args: &Args) -> ModeOut {
-    let t0 = Instant::now();
+fn closed_loop<B: TmBackend>(pipeline: &Pipeline<B>, args: &Args) -> Load {
     let mut submitted = 0u64;
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..args.closed_clients)
@@ -421,183 +411,101 @@ fn closed_loop<B: TmBackend>(pipeline: Pipeline<B>, args: &Args) -> ModeOut {
             submitted += h.join().expect("closed-loop client");
         }
     });
-    let arrival = t0.elapsed();
-    let report = pipeline.shutdown();
-    ModeOut { report, submitted, rejected: 0, wall: t0.elapsed(), arrival, tick_us: 0 }
+    (submitted, 0, 0)
 }
 
 /// Overload: full-speed flood against a tiny queue on one executor. The
 /// point is the *admission* behavior, not throughput.
-fn overload<B: TmBackend>(pipeline: Pipeline<B>, args: &Args) -> ModeOut {
+fn overload<B: TmBackend>(pipeline: &Pipeline<B>, args: &Args) -> Load {
     let client = pipeline.client();
-    let t0 = Instant::now();
-    let (mut submitted, mut rejected) = (0u64, 0u64);
+    let mut counts = (0u64, 0u64);
     let mut rng = 0x0E_410AD;
     let floods = if args.quick { 50_000 } else { 200_000 };
     let cap = 64 * args.shards + 64; // per-queue bound × shard queues + xqueue
     for i in 0..floods {
-        match client.submit(gen_op(&mut rng, args)) {
-            Ok(p) => {
-                drop(p);
-                submitted += 1;
-            }
-            Err(KvError::Overloaded { .. }) | Err(KvError::Unavailable { .. }) => rejected += 1,
-            Err(e) => panic!("overload submit failed: {e}"),
-        }
+        fire(&client, gen_op(&mut rng, args), &mut counts);
         if i % 1024 == 0 {
             let (ro, rw) = client.queue_depths();
             assert!(ro <= cap && rw <= cap, "queue depth exceeded its cap: ro={ro} rw={rw}");
         }
     }
-    let arrival = t0.elapsed();
-    let report = pipeline.shutdown();
-    ModeOut { report, submitted, rejected, wall: t0.elapsed(), arrival, tick_us: 0 }
+    (counts.0, counts.1, 0)
 }
 
 // -------------------------------------------------- dispatch + checking
 
-/// Fresh WAL directory for one durable bench cell.
-fn wal_dir() -> std::path::PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let d = std::env::temp_dir().join(format!(
-        "txkv-bench-wal-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&d);
-    d
+/// One kv cell: a fresh (optionally durable) pipeline driven in `mode`.
+struct Mode<'a> {
+    mode: &'static str,
+    args: &'a Args,
 }
 
-fn run_mode(backend: Backend, mode: &str, args: &Args) -> ModeOut {
-    let words = memory_words();
-    let backoff = if args.chaos { BackoffPolicy::exponential() } else { BackoffPolicy::default() };
-    macro_rules! dispatch {
-        ($mk:expr) => {{
-            let cfg = match mode {
-                "overload" => PipelineConfig {
-                    executors: 1,
-                    ro_queue_cap: 64,
-                    rw_queue_cap: 64,
-                    ..pipeline_cfg(args)
-                },
-                _ => pipeline_cfg(args),
-            };
-            let map = shard_map(args);
-            let domains = build_domains(&map, $mk, 0, words as u64, entries(args.shards));
-            let dir = (args.durability != DurabilityMode::Off).then(wal_dir);
-            let pipeline = match &dir {
-                None => Pipeline::start_sharded(domains, map, cfg),
-                Some(dir) => {
-                    let dcfg = DurabilityConfig {
-                        group_commit_max: 32,
-                        checkpoint_every: 2048,
-                        ..DurabilityConfig::new(args.durability, dir)
-                    };
-                    let wal = WalSet::open(&dcfg, args.shards).expect("bench WAL open");
-                    // Make the populated keyspace durable up front, as a
-                    // base checkpoint per shard: the on-disk state stays
-                    // recoverable from the first appended record on.
-                    for s in 0..args.shards {
-                        let ents: Vec<(u64, u64)> =
-                            entries(args.shards).filter(|&(k, _)| map.shard_of(k) == s).collect();
-                        // The --storage-faults plan targets segment files
-                        // only, but an injected stall can still land here;
-                        // a failed seed checkpoint is non-fatal under
-                        // faults (the bench never recovers this dir).
-                        let seeded = wal.install_checkpoint(s, &ents);
-                        if !args.storage_faults {
-                            seeded.expect("bench WAL seed checkpoint");
-                        }
-                    }
-                    Pipeline::start_durable(domains, map, cfg, wal)
-                }
-            };
-            let out = match mode {
-                "open" | "sweep" => open_loop(pipeline, args),
-                "closed" => closed_loop(pipeline, args),
-                "overload" => overload(pipeline, args),
-                _ => unreachable!(),
-            };
-            if let Some(dir) = dir {
+impl BackendVisitor for Mode<'_> {
+    type Out = ModeOut;
+    fn visit<B: TmBackend>(self, mk: impl Fn() -> B) -> ModeOut {
+        let Mode { mode, args } = self;
+        let cfg = match mode {
+            "overload" => PipelineConfig {
+                executors: 1,
+                ro_queue_cap: 64,
+                rw_queue_cap: 64,
+                ..pipeline_cfg(args)
+            },
+            _ => pipeline_cfg(args),
+        };
+        let map = shard_map(args);
+        let words = memory_words() as u64;
+        let domains = build_domains(&map, |_| mk(), 0, words, entries(args.shards));
+        let durable = args.durability != DurabilityMode::Off;
+        let dir = durable.then(|| cell::scratch_path("txkv-bench-wal", ""));
+        let pipeline = match &dir {
+            None => Pipeline::start_sharded(domains, map, cfg),
+            Some(dir) => {
                 let _ = std::fs::remove_dir_all(dir);
+                let dcfg = DurabilityConfig {
+                    group_commit_max: 32,
+                    checkpoint_every: 2048,
+                    ..DurabilityConfig::new(args.durability, dir)
+                };
+                let wal = WalSet::open(&dcfg, args.shards).expect("bench WAL open");
+                // Make the populated keyspace durable up front, as a base
+                // checkpoint per shard: the on-disk state stays recoverable
+                // from the first appended record on.
+                for s in 0..args.shards {
+                    let ents: Vec<(u64, u64)> =
+                        entries(args.shards).filter(|&(k, _)| map.shard_of(k) == s).collect();
+                    // The --storage-faults plan targets segment files only,
+                    // but an injected stall can still land here; a failed
+                    // seed checkpoint is non-fatal under faults (the bench
+                    // never recovers this dir).
+                    let seeded = wal.install_checkpoint(s, &ents);
+                    if !args.storage_faults {
+                        seeded.expect("bench WAL seed checkpoint");
+                    }
+                }
+                Pipeline::start_durable(domains, map, cfg, wal)
             }
-            out
-        }};
-    }
-    match backend {
-        Backend::Htm => {
-            let cfg = htm_sgl::HtmSglConfig { backoff, ..Default::default() };
-            dispatch!(|_s| htm_sgl::HtmSgl::new(HtmConfig::default(), words, cfg.clone()))
+        };
+        let t0 = Instant::now();
+        let (submitted, rejected, tick_us) = match mode {
+            "open" | "sweep" => open_loop(&pipeline, args),
+            "closed" => closed_loop(&pipeline, args),
+            "overload" => overload(&pipeline, args),
+            _ => unreachable!(),
+        };
+        let arrival = t0.elapsed();
+        let report = pipeline.shutdown();
+        if let Some(dir) = dir {
+            let _ = std::fs::remove_dir_all(dir);
         }
-        Backend::SiHtm => {
-            let cfg = si_htm::SiHtmConfig { backoff, ..Default::default() };
-            dispatch!(|_s| si_htm::SiHtm::new(HtmConfig::default(), words, cfg.clone()))
-        }
-        Backend::P8tm => {
-            let cfg = p8tm::P8tmConfig { backoff, ..Default::default() };
-            dispatch!(|_s| p8tm::P8tm::new(HtmConfig::default(), words, cfg.clone()))
-        }
-        Backend::Silo => {
-            let cfg = silo::SiloConfig { backoff, ..Default::default() };
-            dispatch!(|_s| silo::Silo::with_config(words, cfg.clone()))
-        }
+        ModeOut { report, submitted, rejected, wall: t0.elapsed(), arrival, tick_us }
     }
 }
 
-/// Run one (backend, mode) cell on a watched thread: a hang past the
-/// deadline is a failure with an artifact, not a wedged process.
-fn monitored(backend: Backend, mode: &'static str, args: &Args) -> Result<ModeOut, String> {
-    let deadline = args.duration * 3 + Duration::from_secs(60);
-    let worker = {
-        let args = args.clone();
-        std::thread::spawn(move || run_mode(backend, mode, &args))
-    };
-    let t0 = Instant::now();
-    while !worker.is_finished() {
-        if t0.elapsed() > deadline {
-            return Err(format!("cell hung (no completion within {deadline:?})"));
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    worker.join().map_err(|p| {
-        let msg = p
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_else(|| "non-string panic payload".to_string());
-        format!("cell panicked: {msg}")
-    })
-}
-
-fn fail(backend: Backend, mode: &str, detail: &str, out: Option<&ModeOut>) -> ! {
-    let mut body = format!(
-        "{{\"backend\": \"{}\", \"mode\": \"{mode}\", \"failure\": {:?}",
-        backend.name(),
-        detail
-    );
-    if let Some(o) = out {
-        let _ = write!(
-            body,
-            ", \"replies\": {}, \"shed\": {}, \"overloaded\": {}, \"ro_batches\": {}, \
-             \"ro_batch_aborts\": {}, \"starved_executors\": {}, \"shards\": {}, \
-             \"twopc_prepares\": {}, \"twopc_aborts\": {}",
-            o.report.replies,
-            o.report.shed,
-            o.report.overloaded,
-            o.report.ro_batches,
-            o.report.ro_batch_aborts,
-            o.report.starved_executors,
-            o.report.shards,
-            o.report.twopc.prepares,
-            o.report.twopc.aborts,
-        );
-    }
-    body.push_str("}\n");
-    std::fs::write("TXKV_FAILURE.json", &body).expect("write TXKV_FAILURE.json");
-    eprintln!("FAIL {} {mode}: {detail}", backend.name());
-    eprintln!("failing configuration written to TXKV_FAILURE.json");
-    std::process::exit(1);
+/// `observed` is the cell's artifact row when it finished, else empty.
+fn fail(backend: Backend, mode: &str, detail: &str, observed: Fields) -> ! {
+    let cell = Fields::new().str("backend", backend.name()).str("mode", mode);
+    cell::fail("TXKV_FAILURE.json", "txkv_bench", &cell, detail, &observed)
 }
 
 /// The service-level acceptance checks behind `--assert-service`.
@@ -729,188 +637,117 @@ fn worst_health(r: &ServiceReport) -> &'static str {
     r.shard_health.iter().copied().max_by_key(|h| rank(h)).unwrap_or("healthy")
 }
 
-fn row_json(backend: Backend, mode: &str, out: &ModeOut, args: &Args) -> String {
-    let r = &out.report;
-    let s = &r.backend_stats;
-    let mut classes = String::from("{");
-    let mut first = true;
-    for cl in &r.class {
-        if cl.count() == 0 {
-            continue;
-        }
-        let (p50, p90, p99, p999) = cl.e2e.percentiles();
-        let (s50, _, s99, _) = cl.service.percentiles();
-        let _ = write!(
-            classes,
-            "{}\"{}\": {{\"count\": {}, \"e2e_p50_ns\": {p50}, \"e2e_p90_ns\": {p90}, \
-             \"e2e_p99_ns\": {p99}, \"e2e_p999_ns\": {p999}, \"service_p50_ns\": {s50}, \
-             \"service_p99_ns\": {s99}}}",
-            if first { "" } else { ", " },
-            cl.class.name(),
-            cl.count(),
-        );
-        first = false;
-    }
-    classes.push('}');
-    format!(
-        "{{\"backend\": \"{}\", \"mode\": \"{mode}\", \"workload\": \"kv\", \"tx_class\": \"all\", \
-         \"rate\": {}, \"duration_ms\": {}, \
-         \"executors\": {}, \"shards\": {}, \"cross_shard_pct\": {}, \"tick_us\": {}, \"host_cpus\": {}, \
-         \"chaos\": {}, \"durability\": \"{}\", \"submitted\": {}, \"rejected\": {}, \
-         \"offered_per_sec\": {:.0}, \
-         \"replies\": {}, \"shed\": {}, \"overloaded\": {}, \"replies_per_sec\": {:.0}, \
-         \"ro_replies_per_sec\": {:.0}, \
-         \"ro_batches\": {}, \"ro_batch_ops\": {}, \"mean_ro_batch\": {:.2}, \
-         \"max_ro_batch\": {}, \"ro_batch_aborts\": {}, \"starved_executors\": {}, \
-         \"executor_backoffs\": {}, \"commits\": {}, \"ro_commits\": {}, \"sgl_commits\": {}, \
-         \"aborts\": {}, \"user_aborts\": {}, \"quiesce_waits\": {}, \
-         \"twopc_prepares\": {}, \"twopc_aborts\": {}, \"twopc_escalations\": {}, \
-         \"twopc_ro_multi\": {}, \
-         \"wal_appends\": {}, \"wal_fsync_batches\": {}, \"wal_mean_group_commit\": {:.2}, \
-         \"wal_checkpoints\": {}, \"wal_sync_acks_early\": {}, \"wal_dead_sheds\": {}, \
-         \"storage_faults\": {}, \"health\": \"{}\", \"wal_retries\": {}, \
-         \"degraded_sheds\": {}, \"wal_rejoins\": {}, \"scrub_passes\": {}, \
-         \"scrub_corruptions\": {}, \"ckpt_failures\": {}, \
-         \"classes\": {classes}}}",
-        backend.name(),
-        if mode == "open" || mode == "sweep" { args.rate } else { 0 },
-        out.wall.as_millis(),
-        r.executors,
-        r.shards,
-        args.cross_pct,
-        out.tick_us,
-        host_cpus(),
-        args.chaos,
-        r.durability,
-        out.submitted,
-        out.rejected,
-        out.offered_per_sec(),
-        r.replies,
-        r.shed,
-        r.overloaded,
-        r.replies as f64 / out.wall.as_secs_f64(),
-        ro_replies(r) as f64 / out.wall.as_secs_f64(),
-        r.ro_batches,
-        r.ro_batch_ops,
-        r.mean_ro_batch(),
-        r.max_ro_batch,
-        r.ro_batch_aborts,
-        r.starved_executors,
-        r.executor_backoffs,
-        s.commits,
-        s.ro_commits,
-        s.sgl_commits,
-        s.aborts(),
-        s.user_aborts,
-        s.quiesce_waits,
-        r.twopc.prepares,
-        r.twopc.aborts,
-        r.twopc.escalations,
-        r.twopc.ro_multi,
-        r.wal.wal_appends,
-        r.wal.fsync_batches,
-        r.wal.mean_group_commit(),
-        r.wal.checkpoints,
-        r.wal.sync_acks_early,
-        r.wal.wal_dead_sheds,
-        args.storage_faults,
-        worst_health(r),
-        r.wal.wal_retries,
-        r.wal.degraded_sheds,
-        r.wal.wal_rejoins,
-        r.wal.scrub_passes,
-        r.wal.scrub_corruptions,
-        r.wal.checkpoint_failures,
-    )
+/// `count` plus the e2e p50/p90/p99/p999 and service p50/p99 columns.
+fn latency(count: u64, e2e: &LatencyHist, service: &LatencyHist) -> Fields {
+    let (p50, p90, p99, p999) = e2e.percentiles();
+    let (s50, _, s99, _) = service.percentiles();
+    Fields::new()
+        .num("count", count)
+        .num("e2e_p50_ns", p50)
+        .num("e2e_p90_ns", p90)
+        .num("e2e_p99_ns", p99)
+        .num("e2e_p999_ns", p999)
+        .num("service_p50_ns", s50)
+        .num("service_p99_ns", s99)
 }
 
-fn print_cell(backend: Backend, mode: &str, args: &Args, out: &ModeOut) {
-    let r = &out.report;
+fn row(backend: Backend, mode: &str, out: &ModeOut, args: &Args) -> Fields {
+    let (r, s, w) = (&out.report, &out.report.backend_stats, &out.report.wal);
+    let (secs, arrival) = (out.wall.as_secs_f64(), out.arrival.as_secs_f64().max(1e-9));
+    let mut classes = Fields::new();
+    for cl in r.class.iter().filter(|cl| cl.count() > 0) {
+        classes = classes.obj(cl.class.name(), &latency(cl.count(), &cl.e2e, &cl.service));
+    }
+    Fields::new()
+        .str("backend", backend.name())
+        .str("mode", mode)
+        .str("workload", "kv")
+        .str("tx_class", "all")
+        .num("rate", if mode == "open" || mode == "sweep" { args.rate } else { 0 })
+        .num("duration_ms", out.wall.as_millis())
+        .num("executors", r.executors)
+        .num("shards", r.shards)
+        .num("cross_shard_pct", args.cross_pct)
+        .num("tick_us", out.tick_us)
+        .num("host_cpus", host_cpus())
+        .num("chaos", args.chaos)
+        .str("durability", r.durability)
+        .num("submitted", out.submitted)
+        .num("rejected", out.rejected)
+        .fixed("offered_per_sec", (out.submitted + out.rejected) as f64 / arrival, 0)
+        .num("replies", r.replies)
+        .num("shed", r.shed)
+        .num("overloaded", r.overloaded)
+        .fixed("replies_per_sec", r.replies as f64 / secs, 0)
+        .fixed("ro_replies_per_sec", ro_replies(r) as f64 / secs, 0)
+        .num("ro_batches", r.ro_batches)
+        .num("ro_batch_ops", r.ro_batch_ops)
+        .fixed("mean_ro_batch", r.mean_ro_batch(), 2)
+        .num("max_ro_batch", r.max_ro_batch)
+        .num("ro_batch_aborts", r.ro_batch_aborts)
+        .num("starved_executors", r.starved_executors)
+        .num("executor_backoffs", r.executor_backoffs)
+        .num("commits", s.commits)
+        .num("ro_commits", s.ro_commits)
+        .num("sgl_commits", s.sgl_commits)
+        .num("aborts", s.aborts())
+        .num("user_aborts", s.user_aborts)
+        .num("quiesce_waits", s.quiesce_waits)
+        .num("twopc_prepares", r.twopc.prepares)
+        .num("twopc_aborts", r.twopc.aborts)
+        .num("twopc_escalations", r.twopc.escalations)
+        .num("twopc_ro_multi", r.twopc.ro_multi)
+        .num("wal_appends", w.wal_appends)
+        .num("wal_fsync_batches", w.fsync_batches)
+        .fixed("wal_mean_group_commit", w.mean_group_commit(), 2)
+        .num("wal_checkpoints", w.checkpoints)
+        .num("wal_sync_acks_early", w.sync_acks_early)
+        .num("wal_dead_sheds", w.wal_dead_sheds)
+        .num("storage_faults", args.storage_faults)
+        .str("health", worst_health(r))
+        .num("wal_retries", w.wal_retries)
+        .num("degraded_sheds", w.degraded_sheds)
+        .num("wal_rejoins", w.wal_rejoins)
+        .num("scrub_passes", w.scrub_passes)
+        .num("scrub_corruptions", w.scrub_corruptions)
+        .num("ckpt_failures", w.checkpoint_failures)
+        .obj("classes", &classes)
+}
+
+fn run_cell(backend: Backend, mode: &'static str, args: &Args, rows: &mut Vec<Fields>) -> ModeOut {
+    let deadline = args.duration * 3 + Duration::from_secs(60);
+    let backoff = if args.chaos { BackoffPolicy::exponential() } else { BackoffPolicy::default() };
+    let cell_args = args.clone();
+    let run = move || {
+        let mode = Mode { mode, args: &cell_args };
+        backend.with(HtmConfig::default(), memory_words(), backoff, mode)
+    };
+    let out = cell::watch(deadline, run)
+        .unwrap_or_else(|detail| fail(backend, mode, &detail, Fields::new()));
+    let (r, secs) = (&out.report, out.wall.as_secs_f64());
+    print!("{}", r.summary());
     println!(
-        "{:>6} {:>8} (shards {}, cross {:>2}%): {:>8} replies ({:>9.0}/s, RO {:>9.0}/s), \
-         shed {}, overloaded {}, RO batches {} (mean {:.1}, max {}, aborts {}), \
-         2PC {}p/{}a/{}e, starved {}",
+        "  {} {mode} (cross {}%): {:.0} replies/s, RO {:.0}/s, starved {}",
         backend.name(),
-        mode,
-        r.shards,
         args.cross_pct,
-        r.replies,
-        r.replies as f64 / out.wall.as_secs_f64(),
-        ro_replies(r) as f64 / out.wall.as_secs_f64(),
-        r.shed,
-        r.overloaded,
-        r.ro_batches,
-        r.mean_ro_batch(),
-        r.max_ro_batch,
-        r.ro_batch_aborts,
-        r.twopc.prepares,
-        r.twopc.aborts,
-        r.twopc.escalations,
+        r.replies as f64 / secs,
+        ro_replies(r) as f64 / secs,
         r.starved_executors,
     );
-    if r.durability != "off" {
-        println!(
-            "         wal[{}]: {} appends, {} fsync batches (mean group {:.1}), \
-             {} checkpoints, {} early sync acks",
-            r.durability,
-            r.wal.wal_appends,
-            r.wal.fsync_batches,
-            r.wal.mean_group_commit(),
-            r.wal.checkpoints,
-            r.wal.sync_acks_early,
-        );
-    }
-    let w = &r.wal;
-    if w.wal_retries + w.degraded_sheds + w.wal_rejoins + w.scrub_corruptions > 0 {
-        println!(
-            "         health {:?} (worst {}): {} flush retries, {} degraded sheds, \
-             {} rejoins, {} ckpt failures; scrub {} passes / {} corruptions",
-            r.shard_health,
-            worst_health(r),
-            w.wal_retries,
-            w.degraded_sheds,
-            w.wal_rejoins,
-            w.checkpoint_failures,
-            w.scrub_passes,
-            w.scrub_corruptions,
-        );
-    }
-    for cl in &r.class {
-        if cl.count() == 0 {
-            continue;
+    let row = row(backend, mode, &out, args);
+    if args.assert_service {
+        if let Err(detail) = check(backend, mode, &out, args) {
+            fail(backend, mode, &detail, row);
         }
-        let (p50, _, p99, p999) = cl.e2e.percentiles();
-        println!(
-            "         {:<9} n={:<8} e2e p50/p99/p999 = {}/{}/{} ns",
-            cl.class.name(),
-            cl.count(),
-            p50,
-            p99,
-            p999
-        );
     }
-}
-
-fn run_cell(backend: Backend, mode: &'static str, args: &Args, rows: &mut Vec<String>) -> ModeOut {
-    match monitored(backend, mode, args) {
-        Ok(out) => {
-            print_cell(backend, mode, args, &out);
-            if args.assert_service {
-                if let Err(detail) = check(backend, mode, &out, args) {
-                    fail(backend, mode, &detail, Some(&out));
-                }
-            }
-            rows.push(row_json(backend, mode, &out, args));
-            out
-        }
-        Err(detail) => fail(backend, mode, &detail, None),
-    }
+    rows.push(row);
+    out
 }
 
 /// The scale-out grid: SI-HTM at a saturating arrival rate, shards ×
 /// cross-shard mix. Returns `(shards, cross_pct, ro_replies_per_sec)`
 /// per cell for the scaling assertion.
-fn run_sweep(args: &Args, rows: &mut Vec<String>) -> Vec<(usize, u64, f64)> {
+fn run_sweep(args: &Args, rows: &mut Vec<Fields>) -> Vec<(usize, u64, f64)> {
     let shard_counts: &[usize] = if args.quick { &[1, 4] } else { &[1, 2, 4] };
     let mixes: &[u64] = if args.quick { &[0, 10] } else { &[0, 1, 10] };
     let mut cells = Vec::new();
@@ -946,7 +783,7 @@ fn run_sweep(args: &Args, rows: &mut Vec<String>) -> Vec<(usize, u64, f64)> {
 /// RO fast path must stay abort-free in every mode (logging sits
 /// strictly after commit, outside the transactions), which
 /// `--assert-service` enforces per cell.
-fn run_durability_sweep(args: &Args, rows: &mut Vec<String>) {
+fn run_durability_sweep(args: &Args, rows: &mut Vec<Fields>) {
     let mut rates: Vec<(DurabilityMode, f64)> = Vec::new();
     for mode in [DurabilityMode::Off, DurabilityMode::Async, DurabilityMode::Sync] {
         let cell_args = Args { durability: mode, sweep: false, ..args.clone() };
@@ -1000,27 +837,42 @@ struct TpccOut {
     index_hits: u64,
 }
 
-fn run_tpcc<B: TmBackend>(mut mk: impl FnMut(usize) -> B, args: &Args, mix: TxMix) -> TpccOut {
-    let cfg = tpcc_cfg(args.quick, mix);
-    let shards = if args.shards > 1 { args.shards } else { 2 };
-    let map = service::shard_map(&cfg, shards);
-    let domains = build_domains(&map, &mut mk, 0, TPCC_WORDS, std::iter::empty());
-    service::load_items(&domains, &cfg);
-    let pcfg =
-        PipelineConfig { executors: args.executors, multi_key_max: 32, ..PipelineConfig::new() };
-    let pipeline = Pipeline::start_with(domains, map, pcfg, None, Some(service::registry(&cfg)));
-    let client = pipeline.client();
-    let pop = service::populate(&cfg);
-    service::load_warehouses(&client, &cfg, &pop, 32);
-    let (clients, ops) = if args.quick { (4, 300) } else { (8, 1_500) };
-    let hits0 = index_hits();
-    let t0 = Instant::now();
-    let out =
-        service::run_mix(&client, &cfg, &pop, clients, ops, 0xBE9C ^ mix.new_order as u64, None);
-    let wall = t0.elapsed();
-    let hits = index_hits() - hits0;
-    let report = pipeline.shutdown();
-    TpccOut { report, mix: out, wall, index_hits: hits }
+/// One TPC-C service cell: the typed layer over a 2-shard placement (or
+/// `--shards`), loaded, then one measured mix.
+struct Tpcc<'a> {
+    args: &'a Args,
+    mix: TxMix,
+}
+
+impl BackendVisitor for Tpcc<'_> {
+    type Out = TpccOut;
+    fn visit<B: TmBackend>(self, mk: impl Fn() -> B) -> TpccOut {
+        let Tpcc { args, mix } = self;
+        let cfg = tpcc_cfg(args.quick, mix);
+        let shards = if args.shards > 1 { args.shards } else { 2 };
+        let map = service::shard_map(&cfg, shards);
+        let domains = build_domains(&map, |_| mk(), 0, TPCC_WORDS, std::iter::empty());
+        service::load_items(&domains, &cfg);
+        let pcfg = PipelineConfig {
+            executors: args.executors,
+            multi_key_max: 32,
+            ..PipelineConfig::new()
+        };
+        let registry = Some(service::registry(&cfg));
+        let pipeline = Pipeline::start_with(domains, map, pcfg, None, registry);
+        let client = pipeline.client();
+        let pop = service::populate(&cfg);
+        service::load_warehouses(&client, &cfg, &pop, 32);
+        let (clients, ops) = if args.quick { (4, 300) } else { (8, 1_500) };
+        let hits0 = index_hits();
+        let t0 = Instant::now();
+        let seed = 0xBE9C ^ mix.new_order as u64;
+        let out = service::run_mix(&client, &cfg, &pop, clients, ops, seed, None);
+        let wall = t0.elapsed();
+        let hits = index_hits() - hits0;
+        let report = pipeline.shutdown();
+        TpccOut { report, mix: out, wall, index_hits: hits }
+    }
 }
 
 /// The per-class acceptance checks behind `--assert-service` in
@@ -1082,98 +934,72 @@ fn check_tpcc(backend: Backend, t: &TpccOut) -> Result<(), String> {
     Ok(())
 }
 
-/// One artifact row per transaction class (schema v4 `tx_class`).
-fn tpcc_rows(backend: Backend, mix_name: &str, t: &TpccOut, rows: &mut Vec<String>) {
-    let r = &t.report;
-    for cls in TxClass::ALL {
-        let Some(lat) = r.procs.iter().find(|p| p.proc == cls.proc_id()) else {
-            continue;
-        };
-        let (p50, p90, p99, p999) = lat.e2e.percentiles();
-        let (s50, _, s99, _) = lat.service.percentiles();
-        rows.push(format!(
-            "{{\"backend\": \"{}\", \"mode\": \"tpcc-service\", \"workload\": \"tpcc\", \
-             \"tx_class\": \"{}\", \"mix\": \"{mix_name}\", \"shards\": {}, \"executors\": {}, \
-             \"duration_ms\": {}, \"host_cpus\": {}, \"durability\": \"{}\", \"count\": {}, \
-             \"acked\": {}, \"user_aborts\": {}, \"e2e_p50_ns\": {p50}, \"e2e_p90_ns\": {p90}, \
-             \"e2e_p99_ns\": {p99}, \"e2e_p999_ns\": {p999}, \"service_p50_ns\": {s50}, \
-             \"service_p99_ns\": {s99}, \"replies_per_sec\": {:.0}, \"index_hits\": {}, \
-             \"lastname_acks\": {}, \"twopc_prepares\": {}, \"twopc_aborts\": {}, \
-             \"ro_batch_ops\": {}, \"ro_batch_aborts\": {}}}",
-            backend.name(),
-            cls.name(),
-            r.shards,
-            r.executors,
-            t.wall.as_millis(),
-            host_cpus(),
-            r.durability,
-            lat.count(),
-            t.mix.acked[cls.index()],
-            t.mix.user_aborted[cls.index()],
-            r.replies as f64 / t.wall.as_secs_f64(),
-            t.index_hits,
-            t.mix.lastname_acks,
-            r.twopc.prepares,
-            r.twopc.aborts,
-            r.ro_batch_ops,
-            r.ro_batch_aborts,
-        ));
-    }
-}
-
 fn run_tpcc_cell(
     backend: Backend,
     mix_name: &'static str,
     mix: TxMix,
     args: &Args,
-    rows: &mut Vec<String>,
+    rows: &mut Vec<Fields>,
 ) {
-    let words = TPCC_WORDS as usize;
-    let t = match backend {
-        Backend::Htm => run_tpcc(|_s| htm_sgl::HtmSgl::with_defaults(words), args, mix),
-        Backend::SiHtm => run_tpcc(|_s| si_htm::SiHtm::with_defaults(words), args, mix),
-        Backend::P8tm => run_tpcc(|_s| p8tm::P8tm::with_defaults(words), args, mix),
-        Backend::Silo => run_tpcc(|_s| silo::Silo::with_defaults(words), args, mix),
-    };
+    let cell = Tpcc { args, mix };
+    let t = backend.with(HtmConfig::default(), TPCC_WORDS as usize, BackoffPolicy::default(), cell);
     let r = &t.report;
+    print!("{}", r.summary());
     println!(
-        "{:>6} tpcc/{:<14} (shards {}): {:>7} replies ({:>7.0}/s), 2PC {}p/{}a, \
-         RO-batch ops {}, index hits {} (by-name acks {})",
+        "  {} tpcc/{mix_name}: {:.0} replies/s, index hits {} (by-name acks {})",
         backend.name(),
-        mix_name,
-        r.shards,
-        r.replies,
         r.replies as f64 / t.wall.as_secs_f64(),
-        r.twopc.prepares,
-        r.twopc.aborts,
-        r.ro_batch_ops,
         t.index_hits,
         t.mix.lastname_acks,
     );
-    for cls in TxClass::ALL {
-        if let Some(lat) = r.procs.iter().find(|p| p.proc == cls.proc_id()) {
-            let (p50, _, p99, _) = lat.e2e.percentiles();
-            let (s50, _, s99, _) = lat.service.percentiles();
-            println!(
-                "         {:<12} n={:<7} e2e p50/p99 = {}/{} ns, service p50/p99 = {}/{} ns",
-                cls.name(),
-                lat.count(),
-                p50,
-                p99,
-                s50,
-                s99
-            );
-        }
-    }
     if args.assert_service {
         if let Err(detail) = check_tpcc(backend, &t) {
-            fail(backend, "tpcc-service", &detail, None);
+            fail(backend, "tpcc-service", &detail, Fields::new());
         }
     }
-    tpcc_rows(backend, mix_name, &t, rows);
+    // One artifact row per transaction class (schema v4 `tx_class`).
+    for cls in TxClass::ALL {
+        let Some(lat) = r.procs.iter().find(|p| p.proc == cls.proc_id()) else {
+            continue;
+        };
+        rows.push(
+            Fields::new()
+                .str("backend", backend.name())
+                .str("mode", "tpcc-service")
+                .str("workload", "tpcc")
+                .str("tx_class", cls.name())
+                .str("mix", mix_name)
+                .num("shards", r.shards)
+                .num("executors", r.executors)
+                .num("duration_ms", t.wall.as_millis())
+                .num("host_cpus", host_cpus())
+                .str("durability", r.durability)
+                .num("acked", t.mix.acked[cls.index()])
+                .num("user_aborts", t.mix.user_aborted[cls.index()])
+                .extend(&latency(lat.count(), &lat.e2e, &lat.service))
+                .fixed("replies_per_sec", r.replies as f64 / t.wall.as_secs_f64(), 0)
+                .num("index_hits", t.index_hits)
+                .num("lastname_acks", t.mix.lastname_acks)
+                .num("twopc_prepares", r.twopc.prepares)
+                .num("twopc_aborts", r.twopc.aborts)
+                .num("ro_batch_ops", r.ro_batch_ops)
+                .num("ro_batch_aborts", r.ro_batch_aborts),
+        );
+    }
 }
 
 // ---------------------------------------------------------- network soak
+
+/// A fresh SI-HTM pipeline over the bench keyspace: what the net modes
+/// serve.
+fn si_htm_pipeline(args: &Args, backoff: BackoffPolicy) -> Pipeline<si_htm::SiHtm> {
+    let words = memory_words();
+    let map = shard_map(args);
+    let cfg = si_htm::SiHtmConfig { backoff, ..Default::default() };
+    let mk = |_| si_htm::SiHtm::new(HtmConfig::default(), words, cfg.clone());
+    let domains = build_domains(&map, mk, 0, words as u64, entries(args.shards));
+    Pipeline::start_sharded(domains, map, pipeline_cfg(args))
+}
 
 /// The loopback soak's demo tenants (also what `--listen` serves):
 /// tenant 1 is protected (priority 0, generous quota), tenant 2 is the
@@ -1196,24 +1022,8 @@ fn net_tenants() -> Vec<TenantSpec> {
     ]
 }
 
-fn net_uds_path() -> std::path::PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "txkv-bench-net-{}-{}.sock",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
-fn net_server_config(transport: &str) -> NetServerConfig {
-    NetServerConfig {
-        tcp: (transport == "tcp").then(|| "127.0.0.1:0".to_string()),
-        uds: (transport == "uds").then(net_uds_path),
-        window: 128,
-        tenants: net_tenants(),
-        shed: ShedConfig::new(),
-    }
+fn net_server_config(tcp: Option<String>, uds: Option<std::path::PathBuf>) -> NetServerConfig {
+    NetServerConfig { tcp, uds, window: 128, tenants: net_tenants(), shed: ShedConfig::new() }
 }
 
 fn net_connect(server: &NetServer, tenant: u64, token: u64) -> NetClient {
@@ -1285,19 +1095,11 @@ fn net_noisy_flood(
 fn run_net_phase(args: &Args, transport: &str, contended: bool) -> NetPhaseOut {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     let backoff = if args.chaos { BackoffPolicy::exponential() } else { BackoffPolicy::default() };
-    let words = memory_words();
-    let map = shard_map(args);
-    let cfg = si_htm::SiHtmConfig { backoff, ..Default::default() };
-    let domains = build_domains(
-        &map,
-        |_s| si_htm::SiHtm::new(HtmConfig::default(), words, cfg.clone()),
-        0,
-        words as u64,
-        entries(args.shards),
-    );
-    let pipeline = Pipeline::start_sharded(domains, map, pipeline_cfg(args));
+    let pipeline = si_htm_pipeline(args, backoff);
+    let tcp = (transport == "tcp").then(|| "127.0.0.1:0".to_string());
+    let uds = (transport == "uds").then(|| cell::scratch_path("txkv-bench-net", ".sock"));
     let server =
-        NetServer::start(pipeline.client(), net_server_config(transport)).expect("net server");
+        NetServer::start(pipeline.client(), net_server_config(tcp, uds)).expect("net server");
     let t0 = Instant::now();
     let stop = AtomicBool::new(false);
     let noisy_submitted = AtomicU64::new(0);
@@ -1388,40 +1190,27 @@ fn check_net(transport: &str, solo: &NetPhaseOut, contended: &NetPhaseOut) -> Re
     Ok(())
 }
 
-fn fail_net(
-    transport: &str,
-    detail: &str,
-    solo: Option<&NetPhaseOut>,
-    cont: Option<&NetPhaseOut>,
-) -> ! {
-    let mut body =
-        format!("{{\"mode\": \"net\", \"transport\": \"{transport}\", \"failure\": {detail:?}");
-    for (phase, out) in [("solo", solo), ("contended", cont)] {
-        let Some(o) = out else { continue };
-        let _ = write!(
-            body,
-            ", \"{phase}\": {{\"requests\": {}, \"accepted\": {}, \"answered\": {}, \
-             \"refused_quota\": {}, \"refused_pressure\": {}, \"refused_backend\": {}, \
-             \"replies_to_dead\": {}, \"wake_rescues\": {}, \"proto_errors\": {}, \
-             \"starved_executors\": {}, \"noisy_submitted\": {}}}",
-            o.net.requests,
-            o.net.accepted,
-            o.net.answered(),
-            o.net.refused_quota,
-            o.net.refused_pressure,
-            o.net.refused_backend,
-            o.net.replies_to_dead,
-            o.net.wake_rescues,
-            o.net.proto_errors,
-            o.report.starved_executors,
-            o.noisy_submitted,
-        );
-    }
-    body.push_str("}\n");
-    std::fs::write("NET_FAILURE.json", &body).expect("write NET_FAILURE.json");
-    eprintln!("FAIL net/{transport}: {detail}");
-    eprintln!("failing configuration written to NET_FAILURE.json");
-    std::process::exit(1);
+/// A phase's wire-level books: printed per phase, and the `observed`
+/// counters of a net failure.
+fn wire(o: &NetPhaseOut) -> Fields {
+    Fields::new()
+        .num("requests", o.net.requests)
+        .num("accepted", o.net.accepted)
+        .num("answered", o.net.answered())
+        .num("refused_quota", o.net.refused_quota)
+        .num("refused_pressure", o.net.refused_pressure)
+        .num("refused_backend", o.net.refused_backend)
+        .num("replies_to_dead", o.net.replies_to_dead)
+        .num("wake_rescues", o.net.wake_rescues)
+        .num("proto_errors", o.net.proto_errors)
+        .num("starved_executors", o.report.starved_executors)
+        .num("noisy_submitted", o.noisy_submitted)
+}
+
+fn fail_net(transport: &str, detail: &str, phases: &[(&str, &NetPhaseOut)]) -> ! {
+    let cell = Fields::new().str("mode", "net").str("transport", transport);
+    let observed = phases.iter().fold(Fields::new(), |f, (phase, o)| f.obj(phase, &wire(o)));
+    cell::fail("NET_FAILURE.json", "txkv_bench", &cell, detail, &observed)
 }
 
 /// One schema-v6 net row: a tenant's wire-level accounting in one phase.
@@ -1432,97 +1221,51 @@ fn net_row(
     t: &txkv_net::TenantReport,
     solo_p99: u64,
     args: &Args,
-) -> String {
+) -> Fields {
     let (p50, _, p99, p999) = t.e2e.percentiles();
-    format!(
-        "{{\"backend\": \"si-htm\", \"mode\": \"net\", \"workload\": \"kv\", \"tx_class\": \"all\", \
-         \"transport\": \"{transport}\", \"phase\": \"{phase}\", \"tenant\": {}, \
-         \"priority\": {}, \"protected\": {}, \"duration_ms\": {}, \"host_cpus\": {}, \
-         \"chaos\": {}, \"offered\": {}, \"accepted\": {}, \"answered\": {}, \"shed\": {}, \
-         \"refused_quota\": {}, \"refused_pressure\": {}, \"refused_backend\": {}, \
-         \"offered_per_sec\": {:.0}, \"replies_to_dead\": {}, \"proto_errors\": {}, \
-         \"e2e_p50_ns\": {p50}, \"e2e_p99_ns\": {p99}, \"e2e_p999_ns\": {p999}, \
-         \"solo_p99_ns\": {solo_p99}}}",
-        t.tenant,
-        t.priority,
-        t.priority == 0,
-        out.wall.as_millis(),
-        host_cpus(),
-        args.chaos,
-        t.offered,
-        t.accepted,
-        t.answered,
-        t.shed,
-        t.refused_quota,
-        t.refused_pressure,
-        t.refused_backend,
-        t.offered as f64 / out.wall.as_secs_f64().max(1e-9),
-        out.net.replies_to_dead,
-        out.net.proto_errors,
-    )
-}
-
-fn print_net_phase(transport: &str, phase: &str, out: &NetPhaseOut) {
-    println!(
-        "si-htm net/{transport} {phase:>9}: {} requests, {} accepted, {} answered, \
-         {} refused (quota {} / pressure {} / backend {}), {} to-dead, starved {}",
-        out.net.requests,
-        out.net.accepted,
-        out.net.answered(),
-        out.net.refused_quota + out.net.refused_pressure + out.net.refused_backend,
-        out.net.refused_quota,
-        out.net.refused_pressure,
-        out.net.refused_backend,
-        out.net.replies_to_dead,
-        out.report.starved_executors,
-    );
-    for t in &out.net.tenants {
-        let (p50, _, p99, _) = t.e2e.percentiles();
-        println!(
-            "         tenant {} (prio {}): offered {:>8}, answered {:>8}, refused {:>8}, \
-             e2e p50/p99 = {}/{} ns",
-            t.tenant,
-            t.priority,
-            t.offered,
-            t.answered,
-            t.refused(),
-            p50,
-            p99,
-        );
-    }
+    Fields::new()
+        .str("backend", "si-htm")
+        .str("mode", "net")
+        .str("workload", "kv")
+        .str("tx_class", "all")
+        .str("transport", transport)
+        .str("phase", phase)
+        .num("tenant", t.tenant)
+        .num("priority", t.priority)
+        .num("protected", t.priority == 0)
+        .num("duration_ms", out.wall.as_millis())
+        .num("host_cpus", host_cpus())
+        .num("chaos", args.chaos)
+        .num("offered", t.offered)
+        .num("accepted", t.accepted)
+        .num("answered", t.answered)
+        .num("shed", t.shed)
+        .num("refused_quota", t.refused_quota)
+        .num("refused_pressure", t.refused_pressure)
+        .num("refused_backend", t.refused_backend)
+        .fixed("offered_per_sec", t.offered as f64 / out.wall.as_secs_f64().max(1e-9), 0)
+        .num("replies_to_dead", out.net.replies_to_dead)
+        .num("proto_errors", out.net.proto_errors)
+        .num("e2e_p50_ns", p50)
+        .num("e2e_p99_ns", p99)
+        .num("e2e_p999_ns", p999)
+        .num("solo_p99_ns", solo_p99)
 }
 
 /// The `--net` soak: solo baseline then contended run, on a watched
 /// thread each (a wedged reactor or executor is a failure artifact, not
 /// a hung CI job).
-fn run_net(args: &Args, rows: &mut Vec<String>) {
+fn run_net(args: &Args, rows: &mut Vec<Fields>) {
     let transport = args.net.clone().expect("run_net needs --net");
     let run = |contended: bool| -> NetPhaseOut {
         let (args, tr) = (args.clone(), transport.clone());
-        let worker = std::thread::spawn(move || run_net_phase(&args, &tr, contended));
-        let deadline = Instant::now() + Duration::from_secs(120);
-        while !worker.is_finished() {
-            if Instant::now() > deadline {
-                fail_net(&transport, "net phase hung (no completion within 120s)", None, None);
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        match worker.join() {
-            Ok(out) => out,
-            Err(p) => {
-                let msg = p
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                fail_net(&transport, &format!("net phase panicked: {msg}"), None, None)
-            }
-        }
+        cell::watch(Duration::from_secs(120), move || run_net_phase(&args, &tr, contended))
+            .unwrap_or_else(|detail| fail_net(&transport, &detail, &[]))
     };
     let solo = run(false);
-    print_net_phase(&transport, "solo", &solo);
+    println!("si-htm net/{transport} solo: {}", wire(&solo).render());
     let contended = run(true);
-    print_net_phase(&transport, "contended", &contended);
+    println!("si-htm net/{transport} contended: {}", wire(&contended).render());
     let solo_p99 = net_tenant(&solo.net, NET_PROT).e2e.quantile(0.99);
     let cont_p99 = net_tenant(&contended.net, NET_PROT).e2e.quantile(0.99);
     println!(
@@ -1534,13 +1277,23 @@ fn run_net(args: &Args, rows: &mut Vec<String>) {
     );
     if args.assert_service {
         if let Err(detail) = check_net(&transport, &solo, &contended) {
-            fail_net(&transport, &detail, Some(&solo), Some(&contended));
+            fail_net(&transport, &detail, &[("solo", &solo), ("contended", &contended)]);
         }
     }
-    rows.push(net_row(&transport, "solo", &solo, net_tenant(&solo.net, NET_PROT), solo_p99, args));
+    let prot = net_tenant(&solo.net, NET_PROT);
+    let mut net_rows = vec![net_row(&transport, "solo", &solo, prot, solo_p99, args)];
     for t in &contended.net.tenants {
-        rows.push(net_row(&transport, "contended", &contended, t, solo_p99, args));
+        net_rows.push(net_row(&transport, "contended", &contended, t, solo_p99, args));
     }
+    for row in &net_rows {
+        println!("  {}", row.render());
+    }
+    if args.assert_service {
+        if let Err(detail) = check_net(&transport, &solo, &contended) {
+            fail_net(&transport, &detail, &[("solo", &solo), ("contended", &contended)]);
+        }
+    }
+    rows.extend(net_rows);
 }
 
 // ------------------------------------------------- standalone net modes
@@ -1549,25 +1302,8 @@ fn run_net(args: &Args, rows: &mut Vec<String>) {
 /// stdin closes, then print both reports. The demo tenants are printed
 /// so a `--connect` peer knows what to authenticate as.
 fn run_listen(args: &Args) {
-    let cfg = NetServerConfig {
-        tcp: args.listen.clone(),
-        uds: args.listen_uds.clone().map(Into::into),
-        window: 128,
-        tenants: net_tenants(),
-        shed: ShedConfig::new(),
-    };
-    let backoff = BackoffPolicy::default();
-    let words = memory_words();
-    let map = shard_map(args);
-    let scfg = si_htm::SiHtmConfig { backoff, ..Default::default() };
-    let domains = build_domains(
-        &map,
-        |_s| si_htm::SiHtm::new(HtmConfig::default(), words, scfg.clone()),
-        0,
-        words as u64,
-        entries(args.shards),
-    );
-    let pipeline = Pipeline::start_sharded(domains, map, pipeline_cfg(args));
+    let cfg = net_server_config(args.listen.clone(), args.listen_uds.clone().map(Into::into));
+    let pipeline = si_htm_pipeline(args, BackoffPolicy::default());
     let server = NetServer::start(pipeline.client(), cfg).expect("net server");
     if let Some(addr) = server.tcp_addr() {
         println!("listening tcp {addr}");
@@ -1744,26 +1480,18 @@ fn main() {
             // isolation still shows in the per-shard quiesce counters).
             // Assert the ratio only where it is measurable; everywhere,
             // assert sharding does not *regress* throughput.
-            if args.assert_service {
-                if cpus >= 4 && ratio < 2.5 {
-                    fail(
-                        Backend::SiHtm,
-                        "sweep",
-                        &format!(
-                            "4-shard RO throughput only {ratio:.2}× the 1-shard figure \
-                             (< 2.5× on a {cpus}-cpu host)"
-                        ),
-                        None,
-                    );
-                }
-                if ratio < 0.7 {
-                    fail(
-                        Backend::SiHtm,
-                        "sweep",
-                        &format!("sharding regressed RO throughput to {ratio:.2}× (< 0.7×)"),
-                        None,
-                    );
-                }
+            let detail = if cpus >= 4 && ratio < 2.5 {
+                format!(
+                    "4-shard RO throughput only {ratio:.2}× the 1-shard figure \
+                     (< 2.5× on a {cpus}-cpu host)"
+                )
+            } else if ratio < 0.7 {
+                format!("sharding regressed RO throughput to {ratio:.2}× (< 0.7×)")
+            } else {
+                String::new()
+            };
+            if args.assert_service && !detail.is_empty() {
+                fail(Backend::SiHtm, "sweep", &detail, Fields::new());
             }
         }
     }
@@ -1782,13 +1510,7 @@ fn main() {
         );
     }
 
-    let mut json = String::from("[\n");
-    for (i, row) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        let _ = writeln!(json, "  {row}{sep}");
-    }
-    json.push(']');
     let out = "BENCH_TXKV.json";
-    schema::BENCH_TXKV.write(out, &json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
+    schema::BENCH_TXKV.write_rows(out, &rows).unwrap_or_else(|e| panic!("writing {out}: {e}"));
     println!("wrote {out}");
 }

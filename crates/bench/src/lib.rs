@@ -3,12 +3,16 @@
 //! The `figures` binary drives full thread sweeps
 //! (1,2,4,8,16,32,40,80 on the virtual 10-core SMT-8 machine) and prints
 //! the same series the paper plots: throughput plus the abort breakdown
-//! (transactional / non-transactional / capacity). The Criterion benches
-//! under `benches/` measure per-operation costs and the ablations.
+//! (transactional / non-transactional / capacity). The Criterion bench
+//! `benches/ablation.rs` measures SI-HTM's design ablations; per-layer
+//! costs are measured by the `sysbench --trace 1` ladder. The soak
+//! binaries (`txkv_bench`, `storage_soak`, `chaos_soak`) share [`cell`]
+//! and [`Backend::with`].
 //!
-//! Every experiment is described by a [`Scenario`] so the binary, the
-//! benches and the shape checks share one source of truth.
+//! Every experiment is described by a [`Scenario`] so the binaries and
+//! the shape checks share one source of truth.
 
+pub mod cell;
 pub mod scenarios;
 pub mod schema;
 
@@ -17,7 +21,7 @@ pub use scenarios::*;
 use htm_sim::HtmConfig;
 use std::sync::Arc;
 use std::time::Duration;
-use tm_api::TmBackend;
+use tm_api::{BackoffPolicy, TmBackend};
 use tpcc::{TpccConfig, TpccLayout, TpccWorker};
 use workloads::driver::{run, RunConfig, RunReport};
 use workloads::hashmap::{HashMapConfig, HashMapWorker, TxHashMap};
@@ -52,6 +56,44 @@ impl Backend {
             _ => None,
         }
     }
+
+    /// Hand `v` a constructor of this backend over the simulated machine
+    /// `htm`, with `words` of memory and the contention-manager policy
+    /// `backoff` (every other tunable at its default). Silo runs no
+    /// simulated HTM and ignores `htm`.
+    pub fn with<V: BackendVisitor>(
+        self,
+        htm: HtmConfig,
+        words: usize,
+        backoff: BackoffPolicy,
+        v: V,
+    ) -> V::Out {
+        match self {
+            Backend::Htm => {
+                let cfg = htm_sgl::HtmSglConfig { backoff, ..Default::default() };
+                v.visit(|| htm_sgl::HtmSgl::new(htm.clone(), words, cfg.clone()))
+            }
+            Backend::SiHtm => {
+                let cfg = si_htm::SiHtmConfig { backoff, ..Default::default() };
+                v.visit(|| si_htm::SiHtm::new(htm.clone(), words, cfg.clone()))
+            }
+            Backend::P8tm => {
+                let cfg = p8tm::P8tmConfig { backoff, ..Default::default() };
+                v.visit(|| p8tm::P8tm::new(htm.clone(), words, cfg.clone()))
+            }
+            Backend::Silo => {
+                let cfg = silo::SiloConfig { backoff, ..Default::default() };
+                v.visit(|| silo::Silo::with_config(words, cfg.clone()))
+            }
+        }
+    }
+}
+
+/// Code generic over the backend, run on the one [`Backend::with`] picks.
+pub trait BackendVisitor {
+    type Out;
+    /// `mk()` builds a fresh instance (one per shard, for sharded cells).
+    fn visit<B: TmBackend>(self, mk: impl Fn() -> B) -> Self::Out;
 }
 
 /// One measured point of a figure.
@@ -118,43 +160,23 @@ pub fn hashmap_point(
     warmup: Duration,
     duration: Duration,
 ) -> Point {
-    hashmap_point_with(backend, HtmConfig::default(), cfg, threads, warmup, duration)
-}
-
-/// [`hashmap_point`] with an explicit machine configuration — the hook the
-/// ablation benches use (directory kind, LVDIR, cost-model knobs). `Silo`
-/// bypasses the simulated HTM entirely and ignores `htm_cfg`.
-pub fn hashmap_point_with(
-    backend: Backend,
-    htm_cfg: HtmConfig,
-    cfg: &HashMapConfig,
-    threads: usize,
-    warmup: Duration,
-    duration: Duration,
-) -> Point {
+    struct Drive<'a>(&'a HashMapConfig, RunConfig);
+    impl BackendVisitor for Drive<'_> {
+        type Out = Point;
+        fn visit<B: TmBackend>(self, mk: impl Fn() -> B) -> Point {
+            let (b, Drive(cfg, run_cfg)) = (mk(), self);
+            let (map, alloc) = TxHashMap::build(b.memory(), cfg);
+            let threads = run_cfg.threads;
+            let report = run(&b, &run_cfg, |i| {
+                let mut w = HashMapWorker::new(map, cfg.clone(), Arc::clone(&alloc), i, threads);
+                move |t: &mut B::Thread| w.run_op(t)
+            });
+            Point::new(b.name(), report)
+        }
+    }
     let words = cfg.memory_words(threads);
-    let run_cfg = RunConfig::new(threads, warmup, duration);
-
-    fn drive<B: TmBackend>(b: &B, cfg: &HashMapConfig, run_cfg: &RunConfig) -> Point {
-        let (map, alloc) = TxHashMap::build(b.memory(), cfg);
-        let threads = run_cfg.threads;
-        let report = run(b, run_cfg, |i| {
-            let mut w = HashMapWorker::new(map, cfg.clone(), Arc::clone(&alloc), i, threads);
-            move |t: &mut B::Thread| w.run_op(t)
-        });
-        Point::new(b.name(), report)
-    }
-
-    match backend {
-        Backend::Htm => {
-            drive(&htm_sgl::HtmSgl::new(htm_cfg, words, Default::default()), cfg, &run_cfg)
-        }
-        Backend::SiHtm => {
-            drive(&si_htm::SiHtm::new(htm_cfg, words, Default::default()), cfg, &run_cfg)
-        }
-        Backend::P8tm => drive(&p8tm::P8tm::new(htm_cfg, words, Default::default()), cfg, &run_cfg),
-        Backend::Silo => drive(&silo::Silo::new(words), cfg, &run_cfg),
-    }
+    let drive = Drive(cfg, RunConfig::new(threads, warmup, duration));
+    backend.with(HtmConfig::default(), words, BackoffPolicy::default(), drive)
 }
 
 /// Run one TPC-C point: build a fresh machine + database, drive the mix.
@@ -167,43 +189,29 @@ pub fn tpcc_point(
     warmup: Duration,
     duration: Duration,
 ) -> Point {
+    struct Drive(Arc<TpccLayout>, RunConfig);
+    impl BackendVisitor for Drive {
+        type Out = Point;
+        fn visit<B: TmBackend>(self, mk: impl Fn() -> B) -> Point {
+            let (b, Drive(layout, run_cfg)) = (mk(), self);
+            layout.populate(b.memory());
+            let mix = Arc::new(std::sync::Mutex::new(tpcc::worker::MixCounters::default()));
+            let report = run(&b, &run_cfg, |i| {
+                let mut w = TpccWorker::new(Arc::clone(&layout), i).with_sink(Arc::clone(&mix));
+                move |t: &mut B::Thread| w.run_op(t)
+            });
+            layout
+                .check_consistency(b.memory())
+                .unwrap_or_else(|e| panic!("TPC-C consistency violated after run: {e}"));
+            let mut p = Point::new(b.name(), report);
+            p.mix = Some(mix.lock().unwrap().clone());
+            p
+        }
+    }
     let layout = Arc::new(TpccLayout::new(cfg.clone()));
     let words = layout.memory_words();
-    let run_cfg = RunConfig::new(threads, warmup, duration);
-
-    fn drive<B: TmBackend>(b: &B, layout: &Arc<TpccLayout>, run_cfg: &RunConfig) -> Point {
-        layout.populate(b.memory());
-        let mix = Arc::new(std::sync::Mutex::new(tpcc::worker::MixCounters::default()));
-        let report = run(b, run_cfg, |i| {
-            let mut w = TpccWorker::new(Arc::clone(layout), i).with_sink(Arc::clone(&mix));
-            move |t: &mut B::Thread| w.run_op(t)
-        });
-        layout
-            .check_consistency(b.memory())
-            .unwrap_or_else(|e| panic!("TPC-C consistency violated after run: {e}"));
-        let mut p = Point::new(b.name(), report);
-        p.mix = Some(mix.lock().unwrap().clone());
-        p
-    }
-
-    match backend {
-        Backend::Htm => drive(
-            &htm_sgl::HtmSgl::new(HtmConfig::default(), words, Default::default()),
-            &layout,
-            &run_cfg,
-        ),
-        Backend::SiHtm => drive(
-            &si_htm::SiHtm::new(HtmConfig::default(), words, Default::default()),
-            &layout,
-            &run_cfg,
-        ),
-        Backend::P8tm => drive(
-            &p8tm::P8tm::new(HtmConfig::default(), words, Default::default()),
-            &layout,
-            &run_cfg,
-        ),
-        Backend::Silo => drive(&silo::Silo::new(words), &layout, &run_cfg),
-    }
+    let drive = Drive(layout, RunConfig::new(threads, warmup, duration));
+    backend.with(HtmConfig::default(), words, BackoffPolicy::default(), drive)
 }
 
 #[cfg(test)]

@@ -18,6 +18,7 @@
 //! the bench stack deliberately has no serde. [`Artifact::wrap`] and
 //! [`load`] are inverse by construction and tested as such.
 
+use crate::cell::Fields;
 use std::fmt;
 use std::path::Path;
 
@@ -30,10 +31,6 @@ pub struct Artifact {
     /// or changes meaning.
     pub version: u32,
 }
-
-/// `BENCH_1.json` — directory-ablation grid. v2 added the per-op latency
-/// percentile fields (`lat_p50_ns` … `lat_p999_ns`, `lat_mean_ns`).
-pub const BENCH_1: Artifact = Artifact { name: "bench_directory_ablation", version: 2 };
 
 /// `CHAOS_SOAK.json` — chaos-soak cells.
 pub const CHAOS_SOAK: Artifact = Artifact { name: "chaos_soak", version: 1 };
@@ -112,6 +109,15 @@ pub const BENCH_TXKV: Artifact = Artifact { name: "bench_txkv", version: 6 };
 /// transitions and the acked-write-survival verdict.
 pub const STORAGE_SOAK: Artifact = Artifact { name: "storage_soak", version: 1 };
 
+/// `*_FAILURE.json` — the one failing cell of a soak binary, written by
+/// [`crate::cell::fail`]: one row `{"tool", "cell": {…}, "failure",
+/// "observed": {…}}`. `cell` names the configuration (backend, mode, plan,
+/// rate …), `failure` says what broke, `observed` carries the counters the
+/// cell had reached (empty when it hung or panicked). The file names stay
+/// per tool (`TXKV_FAILURE.json`, `NET_FAILURE.json`,
+/// `STORAGE_FAULT_FAILURE.json`, `CHAOS_FAILURE.json`).
+pub const FAILURE: Artifact = Artifact { name: "failure", version: 1 };
+
 impl Artifact {
     /// Wrap a JSON array of rows in the versioned envelope.
     pub fn wrap(&self, rows_json: &str) -> String {
@@ -126,6 +132,12 @@ impl Artifact {
     /// Wrap and write to `path`.
     pub fn write(&self, path: impl AsRef<Path>, rows_json: &str) -> std::io::Result<()> {
         std::fs::write(path, self.wrap(rows_json))
+    }
+
+    /// Write `rows` to `path` as the envelope's array, one row per line.
+    pub fn write_rows(&self, path: impl AsRef<Path>, rows: &[Fields]) -> std::io::Result<()> {
+        let rows: Vec<String> = rows.iter().map(|r| format!("  {}", r.render())).collect();
+        self.write(path, &format!("[\n{}\n]", rows.join(",\n")))
     }
 }
 
@@ -233,16 +245,16 @@ mod tests {
 
     #[test]
     fn pre_envelope_documents_are_refused() {
-        assert_eq!(validate(ROWS, &BENCH_1), Err(SchemaError::MissingSchema));
+        assert_eq!(validate(ROWS, &BENCH_TXKV), Err(SchemaError::MissingSchema));
     }
 
     #[test]
     fn wrong_schema_name_is_refused() {
         let doc = CHAOS_SOAK.wrap(ROWS);
         assert_eq!(
-            validate(&doc, &BENCH_1),
+            validate(&doc, &BENCH_TXKV),
             Err(SchemaError::WrongSchema {
-                expected: BENCH_1.name,
+                expected: BENCH_TXKV.name,
                 found: CHAOS_SOAK.name.to_string()
             })
         );
@@ -250,31 +262,31 @@ mod tests {
 
     #[test]
     fn unknown_versions_are_refused_in_both_directions() {
-        let newer = Artifact { name: BENCH_1.name, version: BENCH_1.version + 1 };
+        let newer = Artifact { name: BENCH_TXKV.name, version: BENCH_TXKV.version + 1 };
         assert_eq!(
-            validate(&newer.wrap(ROWS), &BENCH_1),
+            validate(&newer.wrap(ROWS), &BENCH_TXKV),
             Err(SchemaError::UnknownVersion {
-                schema: BENCH_1.name,
-                supported: BENCH_1.version,
-                found: BENCH_1.version + 1,
+                schema: BENCH_TXKV.name,
+                supported: BENCH_TXKV.version,
+                found: BENCH_TXKV.version + 1,
             })
         );
-        let older = Artifact { name: BENCH_1.name, version: 1 };
+        let older = Artifact { name: BENCH_TXKV.name, version: 1 };
         assert!(matches!(
-            validate(&older.wrap(ROWS), &BENCH_1),
+            validate(&older.wrap(ROWS), &BENCH_TXKV),
             Err(SchemaError::UnknownVersion { found: 1, .. })
         ));
     }
 
     #[test]
     fn missing_version_and_rows_are_refused() {
-        let doc = format!("{{\"schema\": \"{}\", \"rows\": []}}", BENCH_1.name);
-        assert_eq!(validate(&doc, &BENCH_1), Err(SchemaError::MissingVersion));
+        let doc = format!("{{\"schema\": \"{}\", \"rows\": []}}", BENCH_TXKV.name);
+        assert_eq!(validate(&doc, &BENCH_TXKV), Err(SchemaError::MissingVersion));
         let doc = format!(
             "{{\"schema\": \"{}\", \"schema_version\": {}}}",
-            BENCH_1.name, BENCH_1.version
+            BENCH_TXKV.name, BENCH_TXKV.version
         );
-        assert_eq!(validate(&doc, &BENCH_1), Err(SchemaError::MissingRows));
+        assert_eq!(validate(&doc, &BENCH_TXKV), Err(SchemaError::MissingRows));
     }
 
     #[test]

@@ -1,32 +1,5 @@
 //! Machine configuration: virtual topology and capacity parameters.
 
-/// Which conflict-directory implementation backs the machine.
-///
-/// The lock-free ownership table is the production choice; the locked
-/// sharded map is kept as an ablation baseline so a single bench run can
-/// measure the fast-path win (see DESIGN.md, "Lock-free conflict
-/// directory").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DirectoryKind {
-    /// Open-addressed array of packed `AtomicU64` ownership words; the
-    /// uncontended read/write fast path performs no locking.
-    #[default]
-    LockFree,
-    /// The original mutex-sharded `IntMap<Line, LineEntry>`.
-    Locked,
-}
-
-impl DirectoryKind {
-    /// Parse the `HTM_SIM_DIR` spelling.
-    pub fn parse(s: &str) -> Option<DirectoryKind> {
-        match s {
-            "lockfree" | "lock-free" => Some(DirectoryKind::LockFree),
-            "locked" => Some(DirectoryKind::Locked),
-            _ => None,
-        }
-    }
-}
-
 /// How hardware-thread ids map onto cores (which threads share a TMCAM).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PinLayout {
@@ -91,13 +64,8 @@ pub struct HtmConfig {
     /// would overstate SI-HTM's advantage on small transactions (see
     /// DESIGN.md). Set to 0 for the raw-cost ablation.
     pub untracked_read_spin: u32,
-    /// Which conflict-directory implementation to use.
-    pub directory: DirectoryKind,
     /// How thread ids are pinned onto cores (TMCAM-sharing layout).
     pub pin: PinLayout,
-    /// Number of conflict-directory shards (power of two). Only meaningful
-    /// with [`DirectoryKind::Locked`]; the lock-free table ignores it.
-    pub directory_shards: usize,
 }
 
 /// POWER9 L2 LVDIR: a 512 KB read-tracking directory shared between two
@@ -125,9 +93,7 @@ impl Default for HtmConfig {
             rot_read_tracking: 0.0,
             lvdir: None,
             untracked_read_spin: 3,
-            directory: DirectoryKind::default(),
             pin: PinLayout::default(),
-            directory_shards: 256,
         }
     }
 }
@@ -157,15 +123,10 @@ impl HtmConfig {
         }
     }
 
-    /// Apply environment overrides: `HTM_SIM_DIR=locked|lockfree` selects
-    /// the conflict directory, `HTM_SIM_PIN=scatter|pack` the pinning
-    /// layout. Unknown values panic (a silently ignored override is worse
-    /// than a crash in a bench or stress run).
+    /// Apply environment overrides: `HTM_SIM_PIN=scatter|pack` selects the
+    /// pinning layout. Unknown values panic (a silently ignored override is
+    /// worse than a crash in a bench or stress run).
     pub fn apply_env(mut self) -> Self {
-        if let Ok(v) = std::env::var("HTM_SIM_DIR") {
-            self.directory = DirectoryKind::parse(&v)
-                .unwrap_or_else(|| panic!("HTM_SIM_DIR: unknown directory kind '{v}'"));
-        }
         if let Ok(v) = std::env::var("HTM_SIM_PIN") {
             self.pin = PinLayout::parse(&v)
                 .unwrap_or_else(|| panic!("HTM_SIM_PIN: unknown pin layout '{v}'"));
@@ -182,7 +143,6 @@ impl HtmConfig {
         assert!(self.cores > 0, "need at least one core");
         assert!(self.smt > 0, "need at least one SMT thread per core");
         assert!(self.tmcam_lines > 0, "TMCAM must have capacity");
-        assert!(self.directory_shards.is_power_of_two(), "directory_shards must be a power of two");
         assert!(
             (0.0..=1.0).contains(&self.rot_read_tracking),
             "rot_read_tracking must be a fraction in [0, 1]"
@@ -225,9 +185,6 @@ mod tests {
 
     #[test]
     fn env_spellings_parse() {
-        assert_eq!(DirectoryKind::parse("locked"), Some(DirectoryKind::Locked));
-        assert_eq!(DirectoryKind::parse("lockfree"), Some(DirectoryKind::LockFree));
-        assert_eq!(DirectoryKind::parse("nope"), None);
         assert_eq!(PinLayout::parse("scatter"), Some(PinLayout::Scatter));
         assert_eq!(PinLayout::parse("pack"), Some(PinLayout::Pack));
         assert_eq!(PinLayout::parse("nope"), None);
@@ -240,12 +197,6 @@ mod tests {
         assert_eq!(l.lines, 4096);
         assert_eq!(l.max_users, 2);
         assert_eq!(c.core_pairs(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn invalid_shards_rejected() {
-        HtmConfig { directory_shards: 3, ..HtmConfig::default() }.validate();
     }
 
     #[test]

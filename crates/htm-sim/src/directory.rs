@@ -8,38 +8,31 @@
 //! left behind by killed transactions can be garbage-collected lazily by
 //! whoever stumbles over them.
 //!
-//! ## Two implementations
+//! ## Layout
 //!
-//! The default [`LockFreeDir`] is a pair of fixed-capacity arrays indexed
-//! directly by cache-line id: a **dense array of packed `AtomicU64`
-//! ownership words** (the writer registrations, one CAS to publish), and a
-//! parallel array of reader slots — an inline first-reader word plus a
-//! spinlocked overflow vector that only multi-reader lines ever touch. The
-//! split matters: the read-side fast path ("does this line have a writer?")
-//! touches only the 8-byte-per-line writer array, 1/16 of the simulated
-//! memory; the wider reader slots are only dereferenced by tracked-reader
-//! registration and by write-path scans. The uncontended access path is
-//! therefore one or two atomic operations with no locking — this is what
-//! every simulated memory access pays, so it dominates the whole
-//! simulator's profile. On a large simulated memory the writer word is as
-//! likely a host cache miss as the data word, so accesses issue both
-//! loads up front ([`Directory::prefetch`], `TxMemory::prefetch`) and pay
-//! one miss, not two in sequence. Both arrays are allocated zeroed
+//! [`Directory`] is a pair of fixed-capacity arrays indexed directly by
+//! cache-line id: a **dense array of packed `AtomicU64` ownership words**
+//! (the writer registrations, one CAS to publish), and a parallel array of
+//! reader slots — an inline first-reader word plus a spinlocked overflow
+//! vector that only multi-reader lines ever touch. The split matters: the
+//! read-side fast path ("does this line have a writer?") touches only the
+//! 8-byte-per-line writer array, 1/16 of the simulated memory; the wider
+//! reader slots are only dereferenced by tracked-reader registration and
+//! by write-path scans. The uncontended access path is therefore one or
+//! two atomic operations with no locking — this is what every simulated
+//! memory access pays, so it dominates the whole simulator's profile. On
+//! a large simulated memory the writer word is as likely a host cache miss
+//! as the data word, so accesses issue both loads up front
+//! ([`Directory::prefetch`], `TxMemory::prefetch`) and pay one miss, not
+//! two in sequence. Both arrays are allocated zeroed
 //! (`txmem::zeroed_slice`): lines a run never touches cost no memory.
 //! Identity indexing needs no probing because line ids are dense and
 //! bounded by the memory size (`txmem` panics on out-of-range addresses),
 //! so `capacity == memory lines` always covers every possible key.
 //!
-//! The [`LockedDir`] retains the original mutex-sharded hash-map design and
-//! exists for the ablation benches (`DirectoryKind::Locked`), so the cost of
-//! the locked directory can be measured against the lock-free one in a
-//! single build. Both sit behind the enum-dispatched [`Directory`] facade;
-//! see DESIGN.md ("Lock-free conflict directory") for the full protocol and
-//! memory-ordering argument.
+//! See DESIGN.md ("Lock-free conflict directory") for the full protocol
+//! and memory-ordering argument.
 
-use crate::config::DirectoryKind;
-use crate::util::IntMap;
-use parking_lot::Mutex;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use txmem::Line;
@@ -78,7 +71,7 @@ impl Owner {
     }
 }
 
-/// Per-line tracked-reader slot of the lock-free variant.
+/// Per-line tracked-reader slot.
 ///
 /// `reader0` holds a packed [`Owner`] word (0 = vacant). Lines with at
 /// most one concurrent tracked reader — the overwhelmingly common case,
@@ -123,35 +116,43 @@ impl ReaderSlot {
 
 /// Lock-free line-ownership table: a dense writer-word array plus a
 /// parallel reader-slot array, both indexed by cache-line id.
-pub struct LockFreeDir {
+pub struct Directory {
     writers: Box<[AtomicU64]>,
     readers: Box<[ReaderSlot]>,
 }
 
-impl LockFreeDir {
+impl Directory {
+    /// Build the directory for a machine with `lines` cache lines of
+    /// simulated memory.
     pub fn new(lines: usize) -> Self {
         // SAFETY: all-zero bytes are a vacant `ReaderSlot`: zero atomics, an
         // unlocked `extra_lock`, and `None` in `extra` (`None::<Box<_>>` is
         // the null pointer).
         let readers = unsafe { txmem::zeroed_slice(lines) };
-        LockFreeDir { writers: txmem::zeroed_words(lines), readers }
+        Directory { writers: txmem::zeroed_words(lines), readers }
     }
 
+    /// Start loading the host cache lines an access to `line` is about to
+    /// touch: its writer word and, with `readers`, its reader slot. A hint:
+    /// out-of-range lines are ignored here and panic at the access itself.
     #[inline]
-    fn prefetch(&self, line: Line, readers: bool) {
+    pub fn prefetch(&self, line: Line, readers: bool) {
         txmem::prefetch(&self.writers, line as usize);
         if readers {
             txmem::prefetch(&self.readers, line as usize);
         }
     }
 
+    /// Current writer registration on `line`, if any.
     #[inline]
-    fn writer(&self, line: Line) -> Option<Owner> {
+    pub fn writer(&self, line: Line) -> Option<Owner> {
         Owner::unpack(self.writers[line as usize].load(Ordering::SeqCst))
     }
 
+    /// Publish `me` as the line's writer iff the line has no writer.
+    /// On failure, returns the current (possibly stale) registration.
     #[inline]
-    fn try_claim_writer(&self, line: Line, me: Owner) -> Result<(), Owner> {
+    pub fn try_claim_writer(&self, line: Line, me: Owner) -> Result<(), Owner> {
         match self.writers[line as usize].compare_exchange(
             0,
             me.pack(),
@@ -163,14 +164,17 @@ impl LockFreeDir {
         }
     }
 
+    /// Remove `owner`'s writer registration on `line`, if still present.
+    /// Returns whether this call removed it.
     #[inline]
-    fn clear_writer_if(&self, line: Line, owner: Owner) -> bool {
+    pub fn clear_writer_if(&self, line: Line, owner: Owner) -> bool {
         self.writers[line as usize]
             .compare_exchange(owner.pack(), 0, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
     }
 
-    fn register_reader(&self, line: Line, me: Owner) {
+    /// Add `me` to the line's tracked-reader set (idempotent).
+    pub fn register_reader(&self, line: Line, me: Owner) {
         let slot = &self.readers[line as usize];
         let word = me.pack();
         // Inline fast path: claim the first-reader word with one CAS.
@@ -190,7 +194,8 @@ impl LockFreeDir {
         });
     }
 
-    fn unregister_reader(&self, line: Line, owner: Owner) {
+    /// Remove `owner` from the line's tracked-reader set, if present.
+    pub fn unregister_reader(&self, line: Line, owner: Owner) {
         let slot = &self.readers[line as usize];
         let word = owner.pack();
         if slot.reader0.compare_exchange(word, 0, Ordering::SeqCst, Ordering::SeqCst).is_ok() {
@@ -207,7 +212,8 @@ impl LockFreeDir {
         });
     }
 
-    fn readers_into(&self, line: Line, out: &mut Vec<Owner>) {
+    /// Snapshot the line's tracked readers into `out` (cleared first).
+    pub fn readers_into(&self, line: Line, out: &mut Vec<Owner>) {
         out.clear();
         let slot = &self.readers[line as usize];
         if let Some(r) = Owner::unpack(slot.reader0.load(Ordering::SeqCst)) {
@@ -218,222 +224,13 @@ impl LockFreeDir {
         }
     }
 
-    fn tracked_lines(&self) -> usize {
+    /// Total number of lines with live registrations (tests/metrics only).
+    pub fn tracked_lines(&self) -> usize {
         self.writers
             .iter()
             .zip(self.readers.iter())
             .filter(|(w, r)| w.load(Ordering::SeqCst) != 0 || !r.is_empty())
             .count()
-    }
-}
-
-/// Directory state for one cache line of the locked variant.
-#[derive(Debug, Default)]
-struct LineEntry {
-    writer: Option<Owner>,
-    readers: Vec<Owner>,
-}
-
-impl LineEntry {
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.writer.is_none() && self.readers.is_empty()
-    }
-}
-
-type Shard = Mutex<IntMap<Line, LineEntry>>;
-
-/// The original mutex-sharded line → entry map, kept as the ablation
-/// baseline (`DirectoryKind::Locked`). Every operation takes a shard lock.
-pub struct LockedDir {
-    shards: Box<[Shard]>,
-    mask: u64,
-}
-
-impl LockedDir {
-    pub fn new(shards: usize) -> Self {
-        assert!(shards.is_power_of_two());
-        let mut v: Vec<Shard> = Vec::with_capacity(shards);
-        v.resize_with(shards, || Mutex::new(IntMap::default()));
-        LockedDir { shards: v.into_boxed_slice(), mask: shards as u64 - 1 }
-    }
-
-    #[inline]
-    fn shard(&self, line: Line) -> &Shard {
-        // Fibonacci spreading so consecutive lines land on distinct shards.
-        let h = line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        &self.shards[(h & self.mask) as usize]
-    }
-
-    /// Run `f` on the line's entry under the shard lock; entries left empty
-    /// are removed so the map only holds lines with live registrations.
-    fn with<R>(&self, line: Line, f: impl FnOnce(&mut LineEntry) -> R) -> R {
-        let mut map = self.shard(line).lock();
-        match map.entry(line) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                let r = f(e.get_mut());
-                if e.get().is_empty() {
-                    e.remove();
-                }
-                r
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                let mut entry = LineEntry::default();
-                let r = f(&mut entry);
-                if !entry.is_empty() {
-                    v.insert(entry);
-                }
-                r
-            }
-        }
-    }
-
-    fn writer(&self, line: Line) -> Option<Owner> {
-        self.shard(line).lock().get(&line).and_then(|e| e.writer)
-    }
-
-    fn try_claim_writer(&self, line: Line, me: Owner) -> Result<(), Owner> {
-        self.with(line, |e| match e.writer {
-            None => {
-                e.writer = Some(me);
-                Ok(())
-            }
-            Some(w) => Err(w),
-        })
-    }
-
-    fn clear_writer_if(&self, line: Line, owner: Owner) -> bool {
-        self.with(line, |e| {
-            if e.writer == Some(owner) {
-                e.writer = None;
-                true
-            } else {
-                false
-            }
-        })
-    }
-
-    fn register_reader(&self, line: Line, me: Owner) {
-        self.with(line, |e| {
-            if !e.readers.contains(&me) {
-                e.readers.push(me);
-            }
-        });
-    }
-
-    fn unregister_reader(&self, line: Line, owner: Owner) {
-        self.with(line, |e| {
-            if let Some(pos) = e.readers.iter().position(|r| *r == owner) {
-                e.readers.swap_remove(pos);
-            }
-        });
-    }
-
-    fn readers_into(&self, line: Line, out: &mut Vec<Owner>) {
-        out.clear();
-        if let Some(e) = self.shard(line).lock().get(&line) {
-            out.extend_from_slice(&e.readers);
-        }
-    }
-
-    fn tracked_lines(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-}
-
-/// The conflict directory behind its enum-dispatched facade.
-///
-/// All methods are a direct `match` on the variant, so the lock-free path
-/// keeps its cost profile (the branch predicts perfectly — the variant
-/// never changes after construction).
-pub enum Directory {
-    LockFree(LockFreeDir),
-    Locked(LockedDir),
-}
-
-impl Directory {
-    /// Build the directory for a machine with `lines` cache lines of
-    /// simulated memory. `shards` only matters for the locked variant.
-    pub fn new(kind: DirectoryKind, lines: usize, shards: usize) -> Self {
-        match kind {
-            DirectoryKind::LockFree => Directory::LockFree(LockFreeDir::new(lines)),
-            DirectoryKind::Locked => Directory::Locked(LockedDir::new(shards)),
-        }
-    }
-
-    /// Start loading the host cache lines an access to `line` is about to
-    /// touch: its writer word and, with `readers`, its reader slot. A hint:
-    /// out-of-range lines are ignored here and panic at the access itself.
-    #[inline]
-    pub fn prefetch(&self, line: Line, readers: bool) {
-        match self {
-            Directory::LockFree(d) => d.prefetch(line, readers),
-            Directory::Locked(_) => {}
-        }
-    }
-
-    /// Current writer registration on `line`, if any.
-    #[inline]
-    pub fn writer(&self, line: Line) -> Option<Owner> {
-        match self {
-            Directory::LockFree(d) => d.writer(line),
-            Directory::Locked(d) => d.writer(line),
-        }
-    }
-
-    /// Publish `me` as the line's writer iff the line has no writer.
-    /// On failure, returns the current (possibly stale) registration.
-    #[inline]
-    pub fn try_claim_writer(&self, line: Line, me: Owner) -> Result<(), Owner> {
-        match self {
-            Directory::LockFree(d) => d.try_claim_writer(line, me),
-            Directory::Locked(d) => d.try_claim_writer(line, me),
-        }
-    }
-
-    /// Remove `owner`'s writer registration on `line`, if still present.
-    /// Returns whether this call removed it.
-    #[inline]
-    pub fn clear_writer_if(&self, line: Line, owner: Owner) -> bool {
-        match self {
-            Directory::LockFree(d) => d.clear_writer_if(line, owner),
-            Directory::Locked(d) => d.clear_writer_if(line, owner),
-        }
-    }
-
-    /// Add `me` to the line's tracked-reader set (idempotent).
-    #[inline]
-    pub fn register_reader(&self, line: Line, me: Owner) {
-        match self {
-            Directory::LockFree(d) => d.register_reader(line, me),
-            Directory::Locked(d) => d.register_reader(line, me),
-        }
-    }
-
-    /// Remove `owner` from the line's tracked-reader set, if present.
-    #[inline]
-    pub fn unregister_reader(&self, line: Line, owner: Owner) {
-        match self {
-            Directory::LockFree(d) => d.unregister_reader(line, owner),
-            Directory::Locked(d) => d.unregister_reader(line, owner),
-        }
-    }
-
-    /// Snapshot the line's tracked readers into `out` (cleared first).
-    #[inline]
-    pub fn readers_into(&self, line: Line, out: &mut Vec<Owner>) {
-        match self {
-            Directory::LockFree(d) => d.readers_into(line, out),
-            Directory::Locked(d) => d.readers_into(line, out),
-        }
-    }
-
-    /// Total number of lines with live registrations (tests/metrics only).
-    pub fn tracked_lines(&self) -> usize {
-        match self {
-            Directory::LockFree(d) => d.tracked_lines(),
-            Directory::Locked(d) => d.tracked_lines(),
-        }
     }
 }
 
@@ -443,13 +240,6 @@ mod tests {
 
     const O1: Owner = Owner { tid: 1, inc: 10 };
     const O2: Owner = Owner { tid: 2, inc: 20 };
-
-    fn both() -> [Directory; 2] {
-        [
-            Directory::new(DirectoryKind::LockFree, 128, 4),
-            Directory::new(DirectoryKind::Locked, 128, 4),
-        ]
-    }
 
     #[test]
     fn owner_word_roundtrip() {
@@ -462,104 +252,97 @@ mod tests {
 
     #[test]
     fn empty_directory_tracks_nothing() {
-        for d in both() {
-            assert_eq!(d.writer(7), None);
-            let mut readers = Vec::new();
-            d.readers_into(7, &mut readers);
-            assert!(readers.is_empty());
-            assert_eq!(d.tracked_lines(), 0);
-        }
+        let d = Directory::new(128);
+        assert_eq!(d.writer(7), None);
+        let mut readers = Vec::new();
+        d.readers_into(7, &mut readers);
+        assert!(readers.is_empty());
+        assert_eq!(d.tracked_lines(), 0);
     }
 
     #[test]
     fn registrations_persist_until_removed() {
-        for d in both() {
-            assert_eq!(d.try_claim_writer(7, O1), Ok(()));
-            d.register_reader(7, O2);
-            assert_eq!(d.tracked_lines(), 1);
-            assert_eq!(d.writer(7), Some(O1));
-            let mut readers = Vec::new();
-            d.readers_into(7, &mut readers);
-            assert_eq!(readers, vec![O2]);
-            assert!(d.clear_writer_if(7, O1));
-            assert_eq!(d.writer(7), None);
-            d.unregister_reader(7, O2);
-            assert_eq!(d.tracked_lines(), 0);
-        }
+        let d = Directory::new(128);
+        assert_eq!(d.try_claim_writer(7, O1), Ok(()));
+        d.register_reader(7, O2);
+        assert_eq!(d.tracked_lines(), 1);
+        assert_eq!(d.writer(7), Some(O1));
+        let mut readers = Vec::new();
+        d.readers_into(7, &mut readers);
+        assert_eq!(readers, vec![O2]);
+        assert!(d.clear_writer_if(7, O1));
+        assert_eq!(d.writer(7), None);
+        d.unregister_reader(7, O2);
+        assert_eq!(d.tracked_lines(), 0);
     }
 
     #[test]
     fn claim_fails_against_existing_writer() {
-        for d in both() {
-            assert_eq!(d.try_claim_writer(3, O1), Ok(()));
-            assert_eq!(d.try_claim_writer(3, O2), Err(O1));
-            assert_eq!(d.writer(3), Some(O1));
-        }
+        let d = Directory::new(128);
+        assert_eq!(d.try_claim_writer(3, O1), Ok(()));
+        assert_eq!(d.try_claim_writer(3, O2), Err(O1));
+        assert_eq!(d.writer(3), Some(O1));
     }
 
     #[test]
     fn removal_checks_owner_identity() {
-        for d in both() {
-            assert_eq!(d.try_claim_writer(3, O1), Ok(()));
-            // A different incarnation of the same thread must not remove it.
-            assert!(!d.clear_writer_if(3, Owner { tid: 1, inc: 11 }));
-            assert_eq!(d.writer(3), Some(O1));
-            assert!(d.clear_writer_if(3, O1));
-            assert_eq!(d.tracked_lines(), 0);
-        }
+        let d = Directory::new(128);
+        assert_eq!(d.try_claim_writer(3, O1), Ok(()));
+        // A different incarnation of the same thread must not remove it.
+        assert!(!d.clear_writer_if(3, Owner { tid: 1, inc: 11 }));
+        assert_eq!(d.writer(3), Some(O1));
+        assert!(d.clear_writer_if(3, O1));
+        assert_eq!(d.tracked_lines(), 0);
     }
 
     #[test]
     fn reader_registration_is_idempotent() {
-        for d in both() {
-            d.register_reader(5, O1);
-            d.register_reader(5, O1);
-            let mut readers = Vec::new();
-            d.readers_into(5, &mut readers);
-            assert_eq!(readers, vec![O1]);
-            d.unregister_reader(5, O1);
-            assert_eq!(d.tracked_lines(), 0);
-        }
+        let d = Directory::new(128);
+        d.register_reader(5, O1);
+        d.register_reader(5, O1);
+        let mut readers = Vec::new();
+        d.readers_into(5, &mut readers);
+        assert_eq!(readers, vec![O1]);
+        d.unregister_reader(5, O1);
+        assert_eq!(d.tracked_lines(), 0);
     }
 
     #[test]
     fn many_readers_spill_into_overflow() {
-        for d in both() {
-            let owners: Vec<Owner> = (0..10).map(|t| Owner { tid: t, inc: t as u64 + 1 }).collect();
-            for &o in &owners {
-                d.register_reader(9, o);
-            }
-            let mut readers = Vec::new();
-            d.readers_into(9, &mut readers);
-            let mut got: Vec<u32> = readers.iter().map(|o| o.tid).collect();
-            got.sort_unstable();
-            assert_eq!(got, (0..10).collect::<Vec<_>>());
-            assert_eq!(d.tracked_lines(), 1);
-            for &o in &owners {
-                d.unregister_reader(9, o);
-            }
-            assert_eq!(d.tracked_lines(), 0);
+        let d = Directory::new(128);
+        let owners: Vec<Owner> = (0..10).map(|t| Owner { tid: t, inc: t as u64 + 1 }).collect();
+        for &o in &owners {
+            d.register_reader(9, o);
         }
+        let mut readers = Vec::new();
+        d.readers_into(9, &mut readers);
+        let mut got: Vec<u32> = readers.iter().map(|o| o.tid).collect();
+        got.sort_unstable();
+        assert_eq!(got, (0..10).collect::<Vec<_>>());
+        assert_eq!(d.tracked_lines(), 1);
+        for &o in &owners {
+            d.unregister_reader(9, o);
+        }
+        assert_eq!(d.tracked_lines(), 0);
     }
 
     #[test]
     fn lines_are_independent() {
-        for d in both() {
-            for line in 0..100 {
-                assert_eq!(d.try_claim_writer(line, O1), Ok(()));
-            }
-            assert_eq!(d.tracked_lines(), 100);
-            for line in 0..100 {
-                assert!(d.clear_writer_if(line, O1));
-            }
-            assert_eq!(d.tracked_lines(), 0);
+        let d = Directory::new(128);
+        for line in 0..100 {
+            assert_eq!(d.try_claim_writer(line, O1), Ok(()));
         }
+        assert_eq!(d.tracked_lines(), 100);
+        for line in 0..100 {
+            assert!(d.clear_writer_if(line, O1));
+        }
+        assert_eq!(d.tracked_lines(), 0);
     }
 
     #[test]
     fn concurrent_claims_admit_exactly_one_writer() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let d = Directory::new(DirectoryKind::LockFree, 8, 4);
+        let d = Directory::new(8);
         let wins = AtomicUsize::new(0);
         crossbeam_utils::thread::scope(|s| {
             for t in 0..4u32 {

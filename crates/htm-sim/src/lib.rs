@@ -64,7 +64,7 @@ pub mod tmcam;
 pub mod txn;
 pub mod util;
 
-pub use config::{DirectoryKind, HtmConfig, LvdirConfig, PinLayout};
+pub use config::{HtmConfig, LvdirConfig, PinLayout};
 pub use status::{AbortReason, NonTxClass, TxMode, TxState};
 pub use txn::HtmThread;
 
@@ -98,7 +98,7 @@ impl Htm {
         config.validate();
         let max_threads = config.max_threads();
         let memory = TxMemory::new(memory_words);
-        let directory = Directory::new(config.directory, memory.lines(), config.directory_shards);
+        let directory = Directory::new(memory.lines());
         Arc::new(Htm {
             memory,
             clock: VirtualClock::new(),

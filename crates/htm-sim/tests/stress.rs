@@ -1,9 +1,8 @@
 //! Multi-threaded stress and behavioural tests of the P8-HTM simulator.
 //!
-//! The machine-level tests honour `HTM_SIM_DIR=locked|lockfree` and
-//! `HTM_SIM_PIN=scatter|pack`, so the suite can be re-run against the
-//! alternative conflict directory and the adversarial pinning layout:
-//! `HTM_SIM_DIR=locked HTM_SIM_PIN=pack cargo test -p htm-sim --test stress`.
+//! The machine-level tests honour `HTM_SIM_PIN=scatter|pack`, so the
+//! suite can be re-run against the adversarial pinning layout:
+//! `HTM_SIM_PIN=pack cargo test -p htm-sim --test stress`.
 
 use htm_sim::{AbortReason, Htm, HtmConfig, NonTxClass, TxMode};
 use std::sync::atomic::{AtomicU64, Ordering};

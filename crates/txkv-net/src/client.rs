@@ -21,10 +21,9 @@ use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::Thread;
 use std::time::Duration;
 
-use txkv::{KvOp, KvReply};
+use txkv::{KvOp, KvReply, ReplySlot};
 
 use crate::frame::{self, Kind, ProtoCode, Refusal};
 
@@ -105,56 +104,10 @@ impl Sock {
     }
 }
 
-/// Write-once outcome cell with one consumer ([`NetPending`]). A fill
-/// wakes the waiter only if it is actually parked.
-struct Slot {
-    state: Mutex<SlotState>,
-}
-
-enum SlotState {
-    Empty,
-    /// `wait` registered this thread and parks until `Filled`.
-    Waiting(Thread),
-    Filled(Result<KvReply, NetError>),
-}
-
-impl Slot {
-    /// First write wins (a poisoned connection fills every slot `Closed`).
-    fn fill(&self, r: Result<KvReply, NetError>) {
-        let mut g = self.state.lock().unwrap();
-        match std::mem::replace(&mut *g, SlotState::Empty) {
-            SlotState::Empty => *g = SlotState::Filled(r),
-            SlotState::Waiting(waiter) => {
-                *g = SlotState::Filled(r);
-                drop(g);
-                waiter.unpark();
-            }
-            filled => *g = filled,
-        }
-    }
-
-    fn wait(&self) -> Result<KvReply, NetError> {
-        loop {
-            {
-                let mut g = self.state.lock().unwrap();
-                match &*g {
-                    SlotState::Filled(r) => return r.clone(),
-                    SlotState::Empty => *g = SlotState::Waiting(std::thread::current()),
-                    // Still `Waiting`: `park` returned spuriously.
-                    SlotState::Waiting(_) => {}
-                }
-            }
-            std::thread::park();
-        }
-    }
-
-    fn try_get(&self) -> Option<Result<KvReply, NetError>> {
-        match &*self.state.lock().unwrap() {
-            SlotState::Filled(r) => Some(r.clone()),
-            _ => None,
-        }
-    }
-}
+/// The write-once outcome cell behind one [`NetPending`]: the pipeline's
+/// reply cell over this client's typed outcome. First write wins, so a
+/// poisoned connection can fill every slot `Closed`.
+type Slot = ReplySlot<Result<KvReply, NetError>>;
 
 struct WState {
     inflight: usize,
@@ -322,7 +275,7 @@ impl NetClient {
             }
         }
         let corr = self.next_corr.fetch_add(1, Ordering::Relaxed);
-        let slot = Arc::new(Slot { state: Mutex::new(SlotState::Empty) });
+        let slot = Arc::new(Slot::new());
         self.shared.pending.lock().unwrap().insert(corr, slot.clone());
         let write_res = {
             let mut w = self.write.lock().unwrap();

@@ -92,7 +92,9 @@ pub use durability::{
     FaultPlan, FaultReport, FaultTarget, RecoveryReport, ShardHealth, StorageError,
     StorageErrorKind, WalError, WalSet,
 };
-pub use pipeline::{ClassLat, KvClient, PendingReply, Pipeline, PipelineConfig, ServiceReport};
+pub use pipeline::{
+    ClassLat, KvClient, PendingReply, Pipeline, PipelineConfig, ReplySlot, ServiceReport,
+};
 pub use proc::{KvTx, LocalTx, ProcCtx, ProcRegistry, Procedure, Scope, PROC_WRITE_MAX};
 pub use queue::{PushError, SubmitQueue};
 pub use shard::{Partitioning, Route, ShardMap, XLock};

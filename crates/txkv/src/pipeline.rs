@@ -135,25 +135,27 @@ impl Default for PipelineConfig {
 /// Completion callback registered on a [`ReplySlot`]; runs exactly once,
 /// at fill time (or immediately on registration if the slot is already
 /// filled). Boxed because each request carries at most one.
-type FillHook = Box<dyn FnOnce(KvReply) + Send>;
+type FillHook<T> = Box<dyn FnOnce(T) + Send>;
 
-/// Write-once reply cell with one consumer: the [`PendingReply`] either
-/// blocks on it ([`ReplySlot::wait`]) or registers a [`FillHook`] a
-/// network front end is called back on instead of parking a thread per
-/// in-flight request. One mechanism serves both styles, and a fill costs
-/// a wake-up syscall only when a thread is actually parked: `unpark` of a
+/// Write-once reply cell with one consumer, which either blocks on it
+/// ([`ReplySlot::wait`]) or registers a completion hook
+/// ([`ReplySlot::on_fill`]) so a network front end is called back instead
+/// of parking a thread per in-flight request. One mechanism serves both
+/// styles — the pipeline's [`PendingReply`] over a [`KvReply`], and a
+/// wire client's pending call over its typed outcome — and a fill costs a
+/// wake-up syscall only when a thread is actually parked: `unpark` of a
 /// running thread is a single atomic swap.
-struct ReplySlot {
-    state: Mutex<SlotState>,
+pub struct ReplySlot<T = KvReply> {
+    state: Mutex<SlotState<T>>,
 }
 
-enum SlotState {
+enum SlotState<T> {
     Empty,
     /// `wait()` registered this thread and parks until `Filled`.
     Waiting(Thread),
-    /// `on_reply` got here before the reply did.
-    Hook(FillHook),
-    Filled(KvReply),
+    /// `on_fill` got here before the reply did.
+    Hook(FillHook<T>),
+    Filled(T),
     /// The reply was handed to its hook; nothing is left to read.
     Done,
 }
@@ -162,19 +164,19 @@ enum SlotState {
 /// unwinding `Request::drop` — so a panicking hook must not take down
 /// the service path (a panic inside `Drop` during unwind aborts the
 /// process). Catch it; the slot itself is already filled either way.
-fn run_fill_hook(hook: FillHook, reply: KvReply) {
+fn run_fill_hook<T>(hook: FillHook<T>, reply: T) {
     let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || hook(reply)));
 }
 
-impl ReplySlot {
-    fn new() -> Self {
+impl<T: Clone> ReplySlot<T> {
+    pub fn new() -> Self {
         ReplySlot { state: Mutex::new(SlotState::Empty) }
     }
 
     /// First write wins; later fills are no-ops (the `Drop` backstop).
     /// The hook, if any, is taken under the lock but invoked outside it:
     /// a hook is arbitrary caller code.
-    fn fill(&self, reply: KvReply) {
+    pub fn fill(&self, reply: T) {
         let mut g = self.state.lock().unwrap();
         match std::mem::replace(&mut *g, SlotState::Done) {
             SlotState::Empty => *g = SlotState::Filled(reply),
@@ -194,7 +196,7 @@ impl ReplySlot {
     /// Register the completion hook. If the reply already landed the hook
     /// fires right here on the caller's thread — registration can race
     /// with a fast executor, and "exactly once" must survive that race.
-    fn on_fill(&self, hook: FillHook) {
+    pub fn on_fill(&self, hook: FillHook<T>) {
         let mut g = self.state.lock().unwrap();
         match std::mem::replace(&mut *g, SlotState::Done) {
             SlotState::Filled(reply) => {
@@ -205,7 +207,8 @@ impl ReplySlot {
         }
     }
 
-    fn wait(&self) -> KvReply {
+    /// Block until the slot is filled.
+    pub fn wait(&self) -> T {
         loop {
             {
                 let mut g = self.state.lock().unwrap();
@@ -220,11 +223,18 @@ impl ReplySlot {
         }
     }
 
-    fn try_get(&self) -> Option<KvReply> {
+    /// Non-blocking poll.
+    pub fn try_get(&self) -> Option<T> {
         match &*self.state.lock().unwrap() {
             SlotState::Filled(reply) => Some(reply.clone()),
             _ => None,
         }
+    }
+}
+
+impl<T: Clone> Default for ReplySlot<T> {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -1899,7 +1909,10 @@ mod tests {
         t.join().unwrap();
     }
 
-    fn counting_hook(fired: &Arc<AtomicU64>, seen: &Arc<Mutex<Option<KvReply>>>) -> FillHook {
+    fn counting_hook(
+        fired: &Arc<AtomicU64>,
+        seen: &Arc<Mutex<Option<KvReply>>>,
+    ) -> FillHook<KvReply> {
         let (fired, seen) = (fired.clone(), seen.clone());
         Box::new(move |reply| {
             // Publish the reply before the count a waiting test polls on.
