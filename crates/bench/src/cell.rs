@@ -1,6 +1,6 @@
-//! The harness the soak binaries (`txkv_bench`, `storage_soak`,
-//! `chaos_soak`) share: a hang/panic watch around one cell, a flat JSON
-//! object writer for artifact rows, and the one failure artifact.
+//! The harness the soak binaries (`storage_soak`, `chaos_soak`) share: a
+//! hang/panic watch around one cell, a flat JSON object writer for
+//! artifact rows, and the one failure artifact.
 
 use crate::schema;
 use std::fmt::{Display, Write as _};
@@ -193,15 +193,15 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("bench-cell-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("FAILURE.json");
-        let cell = Fields::new().str("backend", "SI-HTM").str("mode", "open");
+        let cell = Fields::new().str("backend", "SI-HTM").str("plan", "weather");
         let observed = Fields::new().num("replies", 12);
-        let row = failure_row("txkv_bench", &cell, "cell panicked: \"x\" \\ y", &observed);
+        let row = failure_row("storage_soak", &cell, "cell panicked: \"x\" \\ y", &observed);
         schema::FAILURE.write_rows(&path, &[row]).unwrap();
         let rows = schema::load(&path, &schema::FAILURE).unwrap();
         assert_eq!(
             rows,
-            "[\n  {\"tool\": \"txkv_bench\", \"cell\": {\"backend\": \"SI-HTM\", \"mode\": \
-             \"open\"}, \"failure\": \"cell panicked: \\\"x\\\" \\\\ y\", \"observed\": \
+            "[\n  {\"tool\": \"storage_soak\", \"cell\": {\"backend\": \"SI-HTM\", \"plan\": \
+             \"weather\"}, \"failure\": \"cell panicked: \\\"x\\\" \\\\ y\", \"observed\": \
              {\"replies\": 12}}\n]"
         );
         std::fs::remove_dir_all(&dir).ok();

@@ -6,8 +6,9 @@
 //! (transactional / non-transactional / capacity). The Criterion bench
 //! `benches/ablation.rs` measures SI-HTM's design ablations; per-layer
 //! costs are measured by the `sysbench --trace 1` ladder. The soak
-//! binaries (`txkv_bench`, `storage_soak`, `chaos_soak`) share [`cell`]
-//! and [`Backend::with`].
+//! binaries (`storage_soak`, `chaos_soak`) share [`cell`] and
+//! [`Backend::with`]; the service's gates are tests of the crates that
+//! serve (`txkv`, `tpcc`, `txkv-net`).
 //!
 //! Every experiment is described by a [`Scenario`] so the binaries and
 //! the shape checks share one source of truth.

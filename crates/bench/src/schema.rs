@@ -35,75 +35,6 @@ pub struct Artifact {
 /// `CHAOS_SOAK.json` — chaos-soak cells.
 pub const CHAOS_SOAK: Artifact = Artifact { name: "chaos_soak", version: 1 };
 
-/// `BENCH_TXKV.json` — txkv service-layer bench (per-op-class SLOs).
-///
-/// v2 added sharding: `shards`, `cross_shard_pct`, `tick_us` (the
-/// effective open-loop arrival tick — e2e percentiles are only
-/// meaningful down to this quantum), `ro_replies_per_sec`,
-/// `quiesce_waits`, and the `twopc_*` counters (cross-shard two-phase
-/// commit prepares / aborts / escalations / multi-shard reads).
-///
-/// v3 added durability: the `durability` column (`off` / `async` /
-/// `sync` — which ack-vs-fsync contract the cell ran under) and the WAL
-/// counters `wal_appends`, `wal_fsync_batches`, `wal_mean_group_commit`,
-/// `wal_checkpoints`, `wal_sync_acks_early` (must be 0: a `sync` ack
-/// may never precede its fsync), and `wal_dead_sheds`. Comparing
-/// `replies_per_sec` across `durability` values at fixed rate is the
-/// Sync-vs-Off overhead headline (`txkv_bench --durability-sweep`).
-///
-/// Reading `ro_batch_aborts` is backend-specific by design:
-///
-/// | backend | expectation                                             |
-/// |---------|---------------------------------------------------------|
-/// | SI-HTM  | **must be 0** — the RO fast path never aborts (§3.3),   |
-/// |         | durable or not (logging sits outside transactions)      |
-/// | P8TM    | may abort; `ro_commits > 0` shows the RO path was taken |
-/// | HTM+SGL | RO batches are ordinary transactions; aborts are normal |
-/// | Silo    | OCC validation may fail and retry; aborts are normal    |
-///
-/// `txkv_bench --assert-service` enforces exactly these expectations.
-///
-/// v4 added the typed-workload columns: every row carries `workload`
-/// (`kv` for the generic KV mixes, `tpcc` for `--tpcc-service` cells)
-/// and `tx_class` (`all` on kv rows; on tpcc rows the TPC-C transaction
-/// class — `new_order`, `payment`, `order_status`, `delivery`,
-/// `stock_level` — one row per class, with that class's e2e/service
-/// percentiles from the pipeline's per-procedure histograms). tpcc rows
-/// also carry `mix` (`standard` / `read_dominated`), `acked`,
-/// `user_aborts`, `index_hits` and `lastname_acks` (the secondary-index
-/// evidence: hits must cover every by-last-name selection).
-///
-/// v5 added storage-fault health: `storage_faults` (whether the cell
-/// ran with an armed injector), `health` (worst final per-shard storage
-/// health — `healthy` / `retrying` / `read_only` / `failed`) and the
-/// counters `wal_retries` (flush rewrites into rotated segments),
-/// `degraded_sheds` (updates answered the typed `Unavailable`),
-/// `wal_rejoins` (probe-write recoveries), `scrub_passes` /
-/// `scrub_corruptions` (latent-corruption scrubber) and
-/// `ckpt_failures`. Under `--storage-faults`, `--assert-service` still
-/// gates `wal_sync_acks_early == 0` — degraded shards shed, they never
-/// ack early.
-///
-/// v6 added the network columns. Every kv row now carries
-/// `offered_per_sec`: offered load (accepted + refused submissions) over
-/// the *arrival window only* — the old habit of dividing by `wall`
-/// (which includes backend/WAL warm-up and the shutdown drain) badly
-/// under-reported offered rate on short runs. `txkv_bench --net tcp|uds`
-/// adds per-tenant rows with `mode: "net"`: `transport` (`tcp` / `uds`),
-/// `phase` (`solo` — the protected tenant alone, the SLO baseline — or
-/// `contended` — the same load plus a noisy neighbor flooding open-loop
-/// past saturation), `tenant`, `priority`, `protected`, and that
-/// tenant's server-edge admission/answer accounting (`offered`,
-/// `accepted`, `answered`, `shed`, `refused_quota`, `refused_pressure`,
-/// `refused_backend`) plus receive-to-reply `e2e_p50_ns` / `e2e_p99_ns`
-/// / `e2e_p999_ns`. The contended protected row also carries
-/// `solo_p99_ns` (its phase-`solo` baseline); `--assert-service` gates
-/// the noisy-neighbor SLO on exactly these two columns (contended p99 ≤
-/// 1.5× solo p99, with a small absolute floor for scheduler noise),
-/// alongside answered-or-shed (`accepted == answered + shed` at the
-/// wire, dropped connections included) and zero starved executors.
-pub const BENCH_TXKV: Artifact = Artifact { name: "bench_txkv", version: 6 };
-
 /// `STORAGE_SOAK.json` — storage-fault soak cells (`storage_soak`): one
 /// row per backend × fault plan with serve/shed/ack counts, health
 /// transitions and the acked-write-survival verdict.
@@ -114,8 +45,7 @@ pub const STORAGE_SOAK: Artifact = Artifact { name: "storage_soak", version: 1 }
 /// "observed": {…}}`. `cell` names the configuration (backend, mode, plan,
 /// rate …), `failure` says what broke, `observed` carries the counters the
 /// cell had reached (empty when it hung or panicked). The file names stay
-/// per tool (`TXKV_FAILURE.json`, `NET_FAILURE.json`,
-/// `STORAGE_FAULT_FAILURE.json`, `CHAOS_FAILURE.json`).
+/// per tool (`STORAGE_FAULT_FAILURE.json`, `CHAOS_FAILURE.json`).
 pub const FAILURE: Artifact = Artifact { name: "failure", version: 1 };
 
 impl Artifact {
@@ -238,23 +168,23 @@ mod tests {
 
     #[test]
     fn wrap_then_validate_roundtrips() {
-        let doc = BENCH_TXKV.wrap(ROWS);
-        let rows = validate(&doc, &BENCH_TXKV).expect("own envelope must validate");
+        let doc = STORAGE_SOAK.wrap(ROWS);
+        let rows = validate(&doc, &STORAGE_SOAK).expect("own envelope must validate");
         assert_eq!(rows, ROWS);
     }
 
     #[test]
     fn pre_envelope_documents_are_refused() {
-        assert_eq!(validate(ROWS, &BENCH_TXKV), Err(SchemaError::MissingSchema));
+        assert_eq!(validate(ROWS, &STORAGE_SOAK), Err(SchemaError::MissingSchema));
     }
 
     #[test]
     fn wrong_schema_name_is_refused() {
         let doc = CHAOS_SOAK.wrap(ROWS);
         assert_eq!(
-            validate(&doc, &BENCH_TXKV),
+            validate(&doc, &STORAGE_SOAK),
             Err(SchemaError::WrongSchema {
-                expected: BENCH_TXKV.name,
+                expected: STORAGE_SOAK.name,
                 found: CHAOS_SOAK.name.to_string()
             })
         );
@@ -262,31 +192,31 @@ mod tests {
 
     #[test]
     fn unknown_versions_are_refused_in_both_directions() {
-        let newer = Artifact { name: BENCH_TXKV.name, version: BENCH_TXKV.version + 1 };
+        let newer = Artifact { name: STORAGE_SOAK.name, version: STORAGE_SOAK.version + 1 };
         assert_eq!(
-            validate(&newer.wrap(ROWS), &BENCH_TXKV),
+            validate(&newer.wrap(ROWS), &STORAGE_SOAK),
             Err(SchemaError::UnknownVersion {
-                schema: BENCH_TXKV.name,
-                supported: BENCH_TXKV.version,
-                found: BENCH_TXKV.version + 1,
+                schema: STORAGE_SOAK.name,
+                supported: STORAGE_SOAK.version,
+                found: STORAGE_SOAK.version + 1,
             })
         );
-        let older = Artifact { name: BENCH_TXKV.name, version: 1 };
+        let older = Artifact { name: STORAGE_SOAK.name, version: STORAGE_SOAK.version - 1 };
         assert!(matches!(
-            validate(&older.wrap(ROWS), &BENCH_TXKV),
-            Err(SchemaError::UnknownVersion { found: 1, .. })
+            validate(&older.wrap(ROWS), &STORAGE_SOAK),
+            Err(SchemaError::UnknownVersion { found: 0, .. })
         ));
     }
 
     #[test]
     fn missing_version_and_rows_are_refused() {
-        let doc = format!("{{\"schema\": \"{}\", \"rows\": []}}", BENCH_TXKV.name);
-        assert_eq!(validate(&doc, &BENCH_TXKV), Err(SchemaError::MissingVersion));
+        let doc = format!("{{\"schema\": \"{}\", \"rows\": []}}", STORAGE_SOAK.name);
+        assert_eq!(validate(&doc, &STORAGE_SOAK), Err(SchemaError::MissingVersion));
         let doc = format!(
             "{{\"schema\": \"{}\", \"schema_version\": {}}}",
-            BENCH_TXKV.name, BENCH_TXKV.version
+            STORAGE_SOAK.name, STORAGE_SOAK.version
         );
-        assert_eq!(validate(&doc, &BENCH_TXKV), Err(SchemaError::MissingRows));
+        assert_eq!(validate(&doc, &STORAGE_SOAK), Err(SchemaError::MissingRows));
     }
 
     #[test]
@@ -294,8 +224,8 @@ mod tests {
         let dir = std::env::temp_dir().join("txkv_schema_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("artifact.json");
-        BENCH_TXKV.write(&path, ROWS).unwrap();
-        assert_eq!(load(&path, &BENCH_TXKV).unwrap(), ROWS);
+        STORAGE_SOAK.write(&path, ROWS).unwrap();
+        assert_eq!(load(&path, &STORAGE_SOAK).unwrap(), ROWS);
         let err = load(&path, &CHAOS_SOAK).unwrap_err();
         assert!(err.contains("schema mismatch"), "{err}");
         std::fs::remove_file(&path).ok();

@@ -174,7 +174,7 @@ pub struct WalStats {
     /// Torn/corrupt tail records dropped by that recovery.
     pub recovery_torn: u64,
     /// Self-check: Sync-mode acks filled before their record was
-    /// durable. Must stay 0 — enforced by `--assert-service`.
+    /// durable. Must stay 0 — asserted by the txkv durability tests.
     pub sync_acks_early: u64,
     /// Requests shed because the WAL halted (simulated power failure):
     /// a write that can no longer be made durable is never acked.

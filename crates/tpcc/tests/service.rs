@@ -118,8 +118,12 @@ fn service_mix<B: TmBackend>(mk: impl FnMut(usize) -> B, mix: TxMix, seed: u64) 
     }
 
     let report = pipeline.shutdown();
+    assert_eq!(report.panicked_executors, 0);
     assert!(report.twopc.prepares > 0, "remote payments/lines must take the 2PC path");
     assert!(report.ro_batch_ops > 0, "order-status/stock-level must ride the RO batch path");
+    if report.backend == "SI-HTM" {
+        assert_eq!(report.ro_batch_aborts, 0, "SI-HTM RO fast path must never abort");
+    }
     for cls in TxClass::ALL {
         let lat = report
             .procs
@@ -127,6 +131,10 @@ fn service_mix<B: TmBackend>(mk: impl FnMut(usize) -> B, mix: TxMix, seed: u64) 
             .find(|p| p.proc == cls.proc_id())
             .unwrap_or_else(|| panic!("no latency row for {}", cls.name()));
         assert!(lat.count() > 0, "no recorded latency for {}", cls.name());
+        // Generous, hardware-independent class SLOs.
+        let (s99, e99) = (lat.service.quantile(0.99), lat.e2e.quantile(0.99));
+        assert!(s99 <= 250_000_000, "{} service p99 {s99} ns > 250 ms", cls.name());
+        assert!(e99 <= 1_000_000_000, "{} e2e p99 {e99} ns > 1 s", cls.name());
     }
 }
 

@@ -1994,27 +1994,62 @@ mod tests {
         assert!(report.class(OpClass::Get).e2e.quantile(0.5) > 0);
     }
 
-    #[test]
-    fn ro_batches_form_under_concurrent_submission() {
-        let p = pipeline(1); // single executor → pending RO requests pile up
+    /// 180 gets and 20 puts submitted without waiting, over two executors
+    /// and `wal` if any: the first half as one pile, so the queue has depth
+    /// when an executor next pops, the second half in ticks of five, 1 ms
+    /// apart, so both executors' idle polls meet arrivals.
+    fn ro_batches_form<B: TmBackend>(backend: B, wal: Option<Arc<WalSet>>) -> ServiceReport {
+        let store = KvStore::create_with(backend.memory(), 0, 1 << 16, (0..128u64).map(|k| (k, k)));
+        let cfg = PipelineConfig { executors: 2, ..PipelineConfig::quick() };
+        let p = Pipeline::start_with(vec![(backend, store)], ShardMap::hash(1), cfg, wal, None);
         let client = p.client();
-        // Park the executor behind a slow update? Simpler: submit a pile of
-        // RO requests without waiting, so the queue has depth when the
-        // executor next pops.
-        let pending: Vec<_> =
-            (0..200).map(|i| client.submit(KvOp::Get { key: i % 64 }).unwrap()).collect();
+        let pending: Vec<_> = (0..200u64)
+            .map(|i| {
+                let key = i % 64;
+                let op =
+                    if i % 10 == 9 { KvOp::Put { key, val: 1000 + i } } else { KvOp::Get { key } };
+                if i >= 100 && i % 5 == 0 {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                client.submit(op).unwrap()
+            })
+            .collect();
         for pr in pending {
-            assert!(matches!(pr.wait(), KvReply::Value(Some(_))));
+            assert!(matches!(pr.wait(), KvReply::Value(Some(_)) | KvReply::Done { .. }));
         }
         let report = p.shutdown();
-        assert_eq!(report.replies, 200);
+        let name = report.backend;
+        assert_eq!(report.replies, 200, "{name}");
+        assert_eq!(report.panicked_executors, 0, "{name}");
+        assert_eq!(report.starved_executors, 0, "{name}: an executor served nothing");
         assert!(
-            report.ro_batches < 200,
-            "200 gets must not take 200 RO transactions (got {})",
+            report.ro_batches < 180,
+            "{name}: 180 gets must not take 180 RO transactions (got {})",
             report.ro_batches
         );
-        assert!(report.mean_ro_batch() > 1.0, "batching never engaged");
-        assert_eq!(report.ro_batch_aborts, 0, "SI-HTM RO fast path must never abort");
+        assert!(report.mean_ro_batch() > 1.0, "{name}: batching never engaged");
+        report
+    }
+
+    /// The per-backend RO expectations: SI-HTM's RO fast path never
+    /// aborts (§3.3), durable or not, because logging sits after commit;
+    /// P8TM's RO path must at least be taken; HTM-SGL runs RO batches as
+    /// ordinary transactions, so its aborts are legal.
+    #[test]
+    fn ro_batches_form_under_concurrent_submission() {
+        let r = ro_batches_form(SiHtm::with_defaults(1 << 16), None);
+        assert_eq!(r.ro_batch_aborts, 0, "SI-HTM RO fast path must never abort");
+        ro_batches_form(htm_sgl::HtmSgl::with_defaults(1 << 16), None);
+        let r = ro_batches_form(p8tm::P8tm::with_defaults(1 << 16), None);
+        assert!(r.backend_stats.ro_commits > 0, "P8TM served RO batches without its RO path");
+        for mode in [DurabilityMode::Async, DurabilityMode::Sync] {
+            let dir = tmpdir(&format!("ro-batches-{}", mode.name()));
+            let wal = WalSet::open(&crate::DurabilityConfig::new(mode, &dir), 1).expect("open wal");
+            let r = ro_batches_form(SiHtm::with_defaults(1 << 16), Some(wal));
+            assert_eq!(r.wal.wal_appends, 20, "every put logged at {}", mode.name());
+            assert_eq!(r.ro_batch_aborts, 0, "SI-HTM RO fast path aborted at {}", mode.name());
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -2051,6 +2086,50 @@ mod tests {
             assert!(!matches!(pr.wait(), KvReply::Shed));
         }
         let report = p.shutdown();
+        assert_eq!(report.overloaded, overloaded);
+        assert_eq!(report.panicked_executors, 0);
+
+        // Sharded: gets, puts and cross-shard transfers flood four shard
+        // queues and the cross-shard queue, 64 deep per lane; each lane's
+        // total depth stays within 64 per queue.
+        let shards = 4;
+        let keys = 64 * shards as u64;
+        let map = ShardMap::range(shards, 64);
+        let domains = build_domains(
+            &map,
+            |_| SiHtm::with_defaults(1 << 16),
+            0,
+            1 << 16,
+            (0..keys).map(|k| (k, k)),
+        );
+        let cfg = PipelineConfig {
+            executors: 1,
+            ro_queue_cap: 64,
+            rw_queue_cap: 64,
+            ..PipelineConfig::quick()
+        };
+        let p = Pipeline::start_sharded(domains, map, cfg);
+        let client = p.client();
+        let cap = 64 * shards + 64;
+        let mut overloaded = 0u64;
+        for i in 0..50_000u64 {
+            let key = (i * 37) % keys;
+            let op = match i % 10 {
+                0 => KvOp::Put { key, val: i },
+                1 => KvOp::MultiAdd { deltas: vec![(key, -1), ((key + 64) % keys, 1)] },
+                _ => KvOp::Get { key },
+            };
+            match client.submit(op) {
+                Ok(_) => {}
+                Err(KvError::Overloaded { .. }) => overloaded += 1,
+                Err(e) => panic!("unexpected error {e:?}"),
+            }
+            let (ro, rw) = client.queue_depths();
+            assert!(ro <= cap && rw <= cap, "queue depth exceeded its cap: ro={ro} rw={rw}");
+        }
+        assert!(overloaded > 0, "a sharded flood against 64-deep queues must shed");
+        let report = p.shutdown();
+        assert!(report.replies > 0, "nothing was served");
         assert_eq!(report.overloaded, overloaded);
         assert_eq!(report.panicked_executors, 0);
     }

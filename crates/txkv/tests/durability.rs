@@ -304,6 +304,18 @@ fn graceful_restart<B: TmBackend>(mut mk: impl FnMut(usize) -> B, mode: Durabili
         report.wal
     );
     assert_eq!(report.wal.sync_acks_early, 0, "an ack outran its fsync");
+    assert_eq!(report.wal.wal_dead_sheds, 0, "shed for a dead log without a scripted crash");
+    assert_eq!(report.twopc.aborts, 0, "no chaos armed: no 2PC may abort");
+    assert_eq!(report.panicked_executors, 0);
+    // A clean disk: every shard ends healthy, with no flush retried, no
+    // update shed for degradation and nothing caught by the scrubber.
+    assert_eq!(report.shard_health, ["healthy"; SHARDS], "shard health on a clean disk");
+    let w = &report.wal;
+    assert_eq!(
+        (w.wal_retries, w.degraded_sheds, w.scrub_corruptions),
+        (0, 0, 0),
+        "clean disk but flush retries / degraded sheds / scrub corruptions"
+    );
     // Graceful shutdown flushes every buffer, so even Async acks are on
     // disk: check them all regardless of mode.
     let ctx = format!("graceful/{}", mode.name());
@@ -468,6 +480,13 @@ fn storage_degradation<B: TmBackend>(mut mk: impl FnMut(usize) -> B) {
     assert_eq!(report.wal.sync_acks_early, 0, "an ack outran its fsync under storage faults");
     assert!(report.wal.degraded_sheds > 0, "the degraded shard never shed a typed Unavailable");
     assert!(report.wal.wal_rejoins >= 1, "the probe rejoin was never counted");
+    assert_eq!(report.wal.wal_dead_sheds, 0, "a degraded log is not a dead one: nothing shed");
+    // The degraded shard's read rode the RO batch path, which on SI-HTM
+    // never aborts, bad disk or not.
+    assert!(report.ro_batches > 0, "no read took the RO batch path");
+    if report.backend == "SI-HTM" {
+        assert_eq!(report.ro_batch_aborts, 0, "SI-HTM RO fast path aborted under storage faults");
+    }
     verify_recovered(&dir, &mut mk, Some(&acked), "storage-degradation");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -684,7 +703,9 @@ macro_rules! durability_suite {
             #[test]
             fn graceful_restart_preserves_acked_state() {
                 let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-                graceful_restart($make, DurabilityMode::Sync);
+                for mode in [DurabilityMode::Async, DurabilityMode::Sync] {
+                    graceful_restart($make, mode);
+                }
             }
 
             #[test]

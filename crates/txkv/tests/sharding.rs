@@ -99,6 +99,12 @@ fn run_sharded<B: TmBackend + Clone>(mk: impl FnMut(usize) -> B) -> (ServiceRepo
                         Err(KvError::Overloaded { .. }) => {}
                         Err(e) => panic!("unexpected admission error {e:?}"),
                     }
+                    // A shard-local read after every op: the RO batch lane.
+                    match client.call(KvOp::Get { key: (r >> 40) % KEYS }) {
+                        Ok(KvReply::Value(Some(_)) | KvReply::Shed) => {}
+                        Err(KvError::Overloaded { .. }) => {}
+                        other => panic!("unexpected read reply {other:?}"),
+                    }
                 }
             });
         }
@@ -114,6 +120,18 @@ fn run_sharded<B: TmBackend + Clone>(mk: impl FnMut(usize) -> B) -> (ServiceRepo
     (report, total)
 }
 
+/// The reads rode the RO batch path with the backend's expectation:
+/// SI-HTM's RO fast path never aborts (§3.3), chaos or not; P8TM's RO
+/// path is taken; HTM-SGL and Silo may abort and retry.
+fn ro_path_held(report: &ServiceReport) {
+    assert!(report.ro_batches > 0, "no RO batch formed");
+    match report.backend {
+        "SI-HTM" => assert_eq!(report.ro_batch_aborts, 0, "SI-HTM RO fast path aborted"),
+        "P8TM" => assert!(report.backend_stats.ro_commits > 0, "P8TM RO path never taken"),
+        _ => {}
+    }
+}
+
 fn conserves_clean<B: TmBackend + Clone>(mk: impl FnMut(usize) -> B) {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let (report, total) = run_sharded(mk);
@@ -121,6 +139,7 @@ fn conserves_clean<B: TmBackend + Clone>(mk: impl FnMut(usize) -> B) {
     assert!(report.twopc.prepares > 0, "the mix must exercise the 2PC path");
     assert_eq!(report.twopc.aborts, 0, "no chaos armed: no 2PC may abort");
     assert_eq!(report.panicked_executors, 0, "no chaos armed: no executor may die");
+    ro_path_held(&report);
 }
 
 /// Chaos-armed variant: the injector panics inside transaction bodies,
@@ -151,6 +170,11 @@ fn conserves_under_chaos<B: TmBackend + Clone>(mk: impl FnMut(usize) -> B) {
         chaos_report.injected_aborts > 0,
         "the injector never fired; the chaos variant tested nothing"
     );
+    // Liveness: injected panics are caught per request, so every executor
+    // lives and keeps serving.
+    assert_eq!(report.panicked_executors, 0, "a chaos panic killed an executor");
+    assert!(report.replies > 0, "nothing was served under chaos");
+    ro_path_held(&report);
 }
 
 macro_rules! sharding_suite {
@@ -175,3 +199,94 @@ sharding_suite!(on_si_htm, |_s| si_htm::SiHtm::with_defaults(1 << 16));
 sharding_suite!(on_htm_sgl, |_s| htm_sgl::HtmSgl::with_defaults(1 << 16));
 sharding_suite!(on_p8tm, |_s| p8tm::P8tm::with_defaults(1 << 16));
 sharding_suite!(on_silo, |_s| silo::Silo::with_defaults(1 << 16));
+
+/// The scale-out gate: SI-HTM at a saturating open-loop arrival rate
+/// (600 k/s for 1.5 s, 16 executors, 90 % read-only, no cross-shard
+/// work) over 1 and then 4 shards. Four shards must serve read-only
+/// requests at ≥ 2.5× the 1-shard rate on a host with ≥ 4 CPUs. With
+/// fewer, the OS time-slices the domains and wall-clock speedup is
+/// bounded at 1×, so only the ≥ 0.7× no-regression floor applies.
+#[test]
+#[ignore = "3 s saturating sweep whose ratio needs an otherwise idle host; run by hand"]
+fn four_shards_scale_read_only_throughput() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let base = sweep_cell(1);
+    let four = sweep_cell(4);
+    let ratio = four / base.max(1.0);
+    let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    println!("RO replies/s: 1 shard {base:.0}, 4 shards {four:.0} = {ratio:.2}x ({cpus} cpus)");
+    if cpus >= 4 {
+        assert!(ratio >= 2.5, "4-shard RO throughput only {ratio:.2}x the 1-shard figure");
+    }
+    assert!(ratio >= 0.7, "sharding regressed RO throughput to {ratio:.2}x");
+}
+
+/// Keys per shard range: `[s*kps, (s+1)*kps)`, of which the first half is
+/// populated (value = key), so deletes of absent keys stay shard-local.
+fn sweep_kps(shards: usize) -> u64 {
+    2 * 4096 / shards as u64
+}
+
+/// 80 % get, 5 % multi-get, 5 % 32-key-aligned scan, 5 % put, 2 % cas,
+/// 2 % shard-local transfer, 1 % delete, all inside one shard.
+fn sweep_op(rng: &mut u64, shards: usize) -> KvOp {
+    let kps = sweep_kps(shards);
+    let loaded = kps / 2;
+    let base = (splitmix(rng) % shards as u64) * kps;
+    let key = base + splitmix(rng) % loaded;
+    match splitmix(rng) % 1000 {
+        0..=799 => KvOp::Get { key },
+        800..=849 => {
+            let keys = (0..4).map(|i| base + ((key - base) + i * 37) % loaded).collect();
+            KvOp::MultiGet { keys }
+        }
+        850..=899 => KvOp::ScanPrefix { prefix: key >> 5, shift: 5, limit: 32 },
+        900..=949 => KvOp::Put { key, val: splitmix(rng) },
+        950..=969 => KvOp::Cas { key, expect: Some(key), new: key },
+        970..=989 => {
+            let other = base + ((key - base) + 1 + splitmix(rng) % (loaded - 1)) % loaded;
+            KvOp::MultiAdd { deltas: vec![(key, -1), (other, 1)] }
+        }
+        _ => KvOp::Delete { key: base + loaded + splitmix(rng) % loaded },
+    }
+}
+
+/// One sweep cell: read-only replies per second of wall time. Arrivals
+/// are paced on a 200 µs tick and never wait for replies.
+fn sweep_cell(shards: usize) -> f64 {
+    let words = workloads::btree::memory_words(4096 * 8);
+    let kps = sweep_kps(shards);
+    let map = ShardMap::range(shards, kps);
+    let entries = (0..shards as u64).flat_map(|s| s * kps..s * kps + kps / 2).map(|k| (k, k));
+    let mk = |_| si_htm::SiHtm::with_defaults(words);
+    let domains = build_domains(&map, mk, 0, words as u64, entries);
+    let cfg = PipelineConfig { executors: 16, ..PipelineConfig::new() };
+    let pipeline = Pipeline::start_sharded(domains, map, cfg);
+    let client = pipeline.client();
+    let (rate, window) = (600_000u64, Duration::from_millis(1_500));
+    let tick = Duration::from_micros(200);
+    let per_tick = rate / 5_000;
+    let mut rng = 0x0B16_5EED ^ rate ^ ((shards as u64) << 32);
+    let t0 = std::time::Instant::now();
+    let mut ticks = 0u32;
+    while t0.elapsed() < window {
+        for _ in 0..per_tick {
+            match client.submit(sweep_op(&mut rng, shards)) {
+                Ok(_) | Err(KvError::Overloaded { .. }) => {}
+                Err(e) => panic!("submit failed: {e}"),
+            }
+        }
+        ticks += 1;
+        if let Some(rest) = (tick * ticks).checked_sub(t0.elapsed()) {
+            std::thread::sleep(rest);
+        }
+    }
+    let report = pipeline.shutdown();
+    let wall = t0.elapsed().as_secs_f64();
+    assert_eq!(report.panicked_executors, 0);
+    assert_eq!(report.starved_executors, 0, "{shards} shards: an executor served nothing");
+    assert!(report.mean_ro_batch() > 1.0, "{shards} shards: RO batching never engaged");
+    ro_path_held(&report);
+    let ro: u64 = report.class.iter().filter(|c| c.class.read_only()).map(|c| c.count()).sum();
+    ro as f64 / wall
+}
