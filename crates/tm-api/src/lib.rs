@@ -21,6 +21,7 @@
 //! A body may also request a semantic rollback ([`Abort::User`]), which is
 //! not retried (used by TPC-C's 1 % rolled-back new-orders).
 
+pub mod deadline;
 pub mod hist;
 pub mod policy;
 pub mod stats;

@@ -74,6 +74,7 @@ fn tmpdir(tag: &str) -> PathBuf {
 /// is index-served.
 fn service_mix<B: TmBackend>(mk: impl FnMut(usize) -> B, mix: TxMix, seed: u64) {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let _deadline = tm_api::deadline::guard(Duration::from_secs(10));
     let cfg = test_cfg(mix);
     let map = service::shard_map(&cfg, SHARDS);
     let domains = build_domains(&map, mk, 0, WORDS, std::iter::empty());

@@ -835,7 +835,9 @@ mod tests {
 
     /// The negative control for [`NetReport::wake_rescues`]: swallow the
     /// one wake byte a reply burst sends. The reply must still arrive —
-    /// by the poll timeout — and the detector must say so.
+    /// by the poll timeout — and the detector must say so. A reply that
+    /// lands while the reactor is still awake from its request never
+    /// needed the byte, so the fault is re-armed until a call is rescued.
     #[test]
     fn a_dropped_wake_byte_is_rescued_by_the_poll_timeout_and_counted() {
         let backend = si_htm::SiHtm::with_defaults(1 << 16);
@@ -855,11 +857,20 @@ mod tests {
         client.call(&KvOp::Put { key: 1, val: 10 }).expect("healthy call");
         assert_eq!(server.report().wake_rescues, 0);
 
-        server.shared.waker.drop_next.store(true, Ordering::SeqCst);
-        let t0 = Instant::now();
-        assert_eq!(client.call(&KvOp::Get { key: 1 }), Ok(KvReply::Value(Some(10))));
+        let mut waits = Vec::new();
+        loop {
+            assert!(waits.len() < 100, "no call needed its wake byte; replies after {waits:?}");
+            server.shared.waker.drop_next.store(true, Ordering::SeqCst);
+            let t0 = Instant::now();
+            assert_eq!(client.call(&KvOp::Get { key: 1 }), Ok(KvReply::Value(Some(10))));
+            waits.push(t0.elapsed());
+            let rescues = server.report().wake_rescues;
+            if rescues > 0 {
+                assert_eq!(rescues, 1, "replies after {waits:?}");
+                break;
+            }
+        }
         assert!(!server.shared.waker.drop_next.load(Ordering::SeqCst), "the fault fired");
-        assert_eq!(server.report().wake_rescues, 1, "reply arrived after {:?}", t0.elapsed());
 
         // The rescue re-armed the protocol: the next burst wakes normally.
         client.call(&KvOp::Get { key: 1 }).expect("call after the rescue");

@@ -205,15 +205,28 @@ impl<K: TupleKey, R: Row> Table<K, R> {
     /// Absent other columns read as 0. The row's columns are contiguous
     /// keys, so this is one ordered scan over `[key(k, 0), key(k, 0) +
     /// COLS)`: one descent plus the leaf chain, not one lookup per column.
+    ///
+    /// A body running on inconsistent reads (Silo, before commit-time
+    /// validation) can see the scan hand back a key outside the row; that
+    /// attempt aborts with [`Abort::Backend`] and is retried.
     pub fn get(&self, tx: &mut dyn KvTx, place: u64, k: K) -> Result<Option<R>, Abort> {
         let lo = self.key(place, k, 0);
         let mut cols = [0u64; 1 << COL_BITS];
         let mut present = false;
-        tx.scan_range(lo, lo + R::COLS, R::COLS, &mut |key, val| {
-            let col = key - lo;
-            present |= col == 0;
-            cols[col as usize] = val;
+        let mut stray = false;
+        tx.scan_range(lo, lo + R::COLS, R::COLS, &mut |key, val| match key
+            .checked_sub(lo)
+            .filter(|&col| col < R::COLS)
+        {
+            Some(col) => {
+                present |= col == 0;
+                cols[col as usize] = val;
+            }
+            None => stray = true,
         })?;
+        if stray {
+            return Err(Abort::Backend);
+        }
         if !present {
             return Ok(None);
         }
@@ -492,6 +505,48 @@ mod tests {
 
     def_key! { pub struct DK { d: 5, c: 14 } }
     def_row! { pub struct DR { a, b, c } }
+
+    /// A transaction whose row scan hands back `stray` besides column 0,
+    /// as a body on inconsistent reads can see.
+    struct StrayScan {
+        stray: u64,
+    }
+
+    impl KvTx for StrayScan {
+        fn get(&mut self, _: u64) -> Result<Option<u64>, Abort> {
+            Ok(None)
+        }
+        fn put(&mut self, _: u64, _: u64) -> Result<(), Abort> {
+            Ok(())
+        }
+        fn delete(&mut self, _: u64) -> Result<bool, Abort> {
+            Ok(false)
+        }
+        fn scan_range(
+            &mut self,
+            from: u64,
+            _: u64,
+            _: u64,
+            f: &mut dyn FnMut(u64, u64),
+        ) -> Result<u64, Abort> {
+            f(from, 1);
+            f(self.stray, 2);
+            Ok(2)
+        }
+        fn is_local(&self, _: u64) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn a_row_scan_yielding_a_key_outside_the_row_aborts() {
+        let t: Table<DK, DR> = Table::new(7, "t");
+        let k = DK { d: 1, c: 2 };
+        let lo = t.key(0, k, 0);
+        for stray in [lo + DR::COLS, lo + 63, lo - 1, 0] {
+            assert_eq!(t.get(&mut StrayScan { stray }, 0, k), Err(Abort::Backend), "{stray:#x}");
+        }
+    }
 
     #[test]
     fn key_encoding_is_order_preserving() {

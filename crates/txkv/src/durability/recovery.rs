@@ -13,27 +13,42 @@
 //! in-flight cross-shard transaction from the logs alone:
 //!
 //! 1. a participant's `XBegin` (participant set + undo image) and
-//!    `XApply` (post-image) are appended together, `XBegin` first, and
-//!    flushed as one group commit — so a surviving `XApply` always has
-//!    its `XBegin` ahead of it in the same log;
-//! 2. every participant's `XApply` is durable before any `XDecide` is
-//!    written;
-//! 3. the client is acked only after an `XDecide` is durable.
+//!    `XApply` (post-image) are appended together, `XBegin` first — so a
+//!    surviving `XApply` always has its `XBegin` ahead of it in the same
+//!    log;
+//! 2. every participant's `XApply` is durable (one durable round for all
+//!    the legs) before any `XDecide` is appended, so every leg is durable
+//!    before any decision can be;
+//! 3. Sync acks after the first durable `XDecide`; Async acks do not
+//!    wait (the decisions ride the next group commit);
+//! 4. the `XDecide` goes to every participant before the `XLock`s drop,
+//!    so any later record on a participant that could conflict with the
+//!    transaction (the next cross-shard leg, a local call) lies behind
+//!    its `XDecide` and is durable only if that decision is;
+//! 5. a checkpoint prunes only once every shard is durable through what
+//!    it has appended, so no checkpoint prunes a decision that is not yet
+//!    durable on the other participants.
 //!
 //! So: an `XDecide` in **any** participant's log proves every
 //! participant's `XApply` survived — replaying the post-images commits
-//! the transaction everywhere. No decision anywhere means the
-//! transaction was never acked: participants whose `XApply` survived
+//! the transaction everywhere — and a decision a checkpoint pruned from
+//! one log is durable in the others. No decision anywhere means the
+//! transaction was never Sync-acked: participants whose `XApply` survived
 //! are compensated from their `XBegin` (delta-undo for `Add` parts,
 //! which commutes with later logged local updates; image-restore for
-//! blind `Put` parts), and everyone else never applied — all shards
-//! converge on "it didn't happen". An `XAbort` on a shard marks that
-//! shard's part as compensated by the live coordinator and carries the
-//! compensation post-image in the same atomic record, so recovery
-//! replays it and skips compensating *that shard* — other participants
-//! whose own `XAbort` didn't reach disk are still compensated here. A
-//! degraded shard still takes the `XAbort`, behind the leg's retained
-//! frames, so a rejoin never makes a leg durable without its rollback.
+//! blind `Put` parts, which by rule 4 no surviving later call
+//! overwrote), and everyone else never applied — all shards converge on
+//! "it didn't happen". An Async ack may name such a transaction: Async
+//! acks promise no durability, only no torn state.
+//!
+//! An `XAbort` on a shard marks that shard's part as compensated by the
+//! live coordinator and carries the compensation post-image in the same
+//! atomic record, so recovery replays it and skips compensating *that
+//! shard* — other participants whose own `XAbort` didn't reach disk are
+//! still compensated here. A
+//! degraded shard still takes the `XAbort` (and the `XDecide`), behind
+//! the leg's retained frames, so a rejoin never makes a leg durable
+//! without how it ended.
 //!
 //! Recovery ends by writing a fresh checkpoint per shard and pruning
 //! the replayed segments, so the next [`super::WalSet::open`] starts

@@ -294,7 +294,9 @@ struct FaultState {
     short_writes: AtomicU64,
     corruptions: AtomicU64,
     stalls: AtomicU64,
-    holding: AtomicBool,
+    /// Eligible fsyncs numbered this or later block until released
+    /// (`u64::MAX`: none).
+    hold_from: AtomicU64,
     held_syncs: AtomicU64,
 }
 
@@ -318,7 +320,7 @@ pub fn install(plan: FaultPlan) -> FaultGuard {
         short_writes: AtomicU64::new(0),
         corruptions: AtomicU64::new(0),
         stalls: AtomicU64::new(0),
-        holding: AtomicBool::new(false),
+        hold_from: AtomicU64::new(u64::MAX),
         held_syncs: AtomicU64::new(0),
     });
     *slot = Some(Arc::clone(&state));
@@ -360,11 +362,19 @@ impl FaultGuard {
     /// Block every eligible fsync, before it reaches the medium, until
     /// [`FaultGuard::release_syncs`]: a stall of known extent.
     pub fn hold_syncs(&self) {
-        self.state.holding.store(true, Ordering::Release);
+        self.hold_syncs_from(0);
     }
 
+    /// Like [`FaultGuard::hold_syncs`], but only for the eligible fsyncs
+    /// numbered `n` and later (numbered from installation, like the
+    /// scripted failures): the first `n` go through.
+    pub fn hold_syncs_from(&self, n: u64) {
+        self.state.hold_from.store(n, Ordering::Release);
+    }
+
+    /// Let held fsyncs go on (and fail, if the plan scripts it).
     pub fn release_syncs(&self) {
-        self.state.holding.store(false, Ordering::Release);
+        self.state.hold_from.store(u64::MAX, Ordering::Release);
     }
 
     /// Snapshot of faults delivered so far.
@@ -538,13 +548,13 @@ impl FaultFile {
     #[cold]
     fn faulty_sync(&mut self, st: &FaultState) -> Result<(), StorageError> {
         st.stall();
-        if st.holding.load(Ordering::Acquire) {
+        let n = st.sync_ops.fetch_add(1, Ordering::Relaxed);
+        if n >= st.hold_from.load(Ordering::Acquire) {
             st.held_syncs.fetch_add(1, Ordering::Relaxed);
-            while st.holding.load(Ordering::Acquire) {
+            while n >= st.hold_from.load(Ordering::Acquire) {
                 std::thread::sleep(std::time::Duration::from_micros(100));
             }
         }
-        let n = st.sync_ops.fetch_add(1, Ordering::Relaxed);
         let scripted =
             n >= st.plan.sync_fail_after && n - st.plan.sync_fail_after < st.plan.sync_fail_count;
         if scripted || st.roll(st.plan.sync_fail_p) {

@@ -12,15 +12,19 @@
 //! Appends buffer in user space; [`WalSet::flush`] writes and fsyncs the
 //! buffer as one *group commit*. `Sync` mode acks ride on the flushed
 //! LSN watermark ([`WalSet::durable_lsn`]); `Async` mode acks
-//! immediately and flushes on the same cadence. Flush I/O happens
-//! **outside** the shard mutex (the buffer is swapped out, written, and
-//! the watermark advanced under a brief re-lock), so appenders are never
-//! blocked behind a slow or stalled fsync. In the pipeline, group-commit
-//! flushes run on one log-writer thread that also settles the Sync acks
-//! (`crate::pipeline`, "Group commit"); the 2PC coordinator,
-//! checkpoints and rejoin probes flush inline, serialised with it by the
-//! shard's `io_lock`. [`WalSet::note_sync_ack_early`] is the writer's
-//! count of acks filled above their shard's watermark.
+//! immediately and flushes on the same cadence. Flush and checkpoint I/O
+//! happen **outside** the shard mutex (the buffer is swapped out,
+//! written, and the watermark advanced under a brief re-lock), so
+//! appenders and the log writer are never blocked behind a slow or
+//! stalled fsync. In the pipeline, group-commit flushes run on one
+//! log-writer thread that also settles the Sync acks (`crate::pipeline`,
+//! "Group commit"). Every other durable wait — the 2PC coordinator's leg
+//! round and Sync decision, a checkpoint's all-shard wait — is a ticket,
+//! [`WalSet::wait_durable`]: it returns at once when the watermark covers
+//! it and otherwise leads one flush, serialised with the writer's by the
+//! shard's `io_lock`. Rejoin probes take the same lock.
+//! [`WalSet::note_sync_ack_early`] is the writer's count of acks filled
+//! above their shard's watermark.
 //!
 //! ## Storage faults and graceful degradation
 //!
@@ -48,9 +52,8 @@
 //! log writer counts any fill that would not). A probe-write loop ([`WalSet::probe`]) rejoins the shard
 //! once the medium heals, first flushing any frames retained while
 //! degraded so the durable state converges back to what reads observed.
-//! The one record a degraded shard still takes is a 2PC rollback's
-//! `XAbort`, which must land behind the retained frames of the leg it
-//! undoes.
+//! The records a degraded shard still takes are the `XAbort` or `XDecide`
+//! that ends a 2PC leg it already holds, behind that leg's frames.
 //!
 //! ## Simulated power failure
 //!
@@ -343,6 +346,9 @@ pub struct WalSet {
     scrub_corruptions: AtomicU64,
     recovery_replayed: AtomicU64,
     recovery_torn: AtomicU64,
+    /// Negative control: [`WalSet::wait_all_appended`] waits on nothing.
+    #[cfg(test)]
+    pub(crate) skip_all_shard_wait: AtomicBool,
 }
 
 impl WalSet {
@@ -405,6 +411,8 @@ impl WalSet {
             scrub_corruptions: AtomicU64::new(0),
             recovery_replayed: AtomicU64::new(0),
             recovery_torn: AtomicU64::new(0),
+            #[cfg(test)]
+            skip_all_shard_wait: AtomicBool::new(false),
         }))
     }
 
@@ -505,16 +513,21 @@ impl WalSet {
     /// Append one record to shard `s`'s buffer (not yet durable) and
     /// return its LSN. Call under the shard's commit lock.
     ///
-    /// A degraded shard refuses every record but `XAbort`. A 2PC leg whose
-    /// flush failed left its `XBegin`/`XApply` retained in the buffer for
-    /// the rejoin probe; its rollback's `XAbort` must land behind them, or
-    /// the rejoin would make the leg durable without its rollback and
-    /// recovery would undo it a second time, on top of later acked writes.
+    /// A degraded shard refuses every record but the two that end a 2PC
+    /// leg it already holds. A leg whose flush failed left its
+    /// `XBegin`/`XApply` retained in the buffer for the rejoin probe; its
+    /// rollback's `XAbort` must land behind them, or the rejoin would make
+    /// the leg durable without its rollback and recovery would undo it a
+    /// second time, on top of later acked writes. A shard that degraded
+    /// after its leg became durable still takes the `XDecide`: without it,
+    /// a checkpoint pruning the other participants' decisions would leave
+    /// recovery nothing but presumed abort for this leg.
     pub fn append(&self, s: usize, what: Append<'_>) -> Result<u64, WalError> {
         if !self.alive() {
             return Err(WalError::Dead);
         }
-        if !self.health(s).writable() && !matches!(what, Append::XAbort { .. }) {
+        let ends_leg = matches!(what, Append::XAbort { .. } | Append::XDecide { .. });
+        if !self.health(s).writable() && !ends_leg {
             return Err(WalError::Unavailable);
         }
         let mut w = self.shards[s].inner.lock().unwrap();
@@ -551,16 +564,57 @@ impl WalSet {
     /// shard degrades to [`ShardHealth::ReadOnly`] and the batch is
     /// retained (un-acked) for the rejoin probe.
     pub fn flush(&self, s: usize) -> Result<u64, WalError> {
-        if !self.alive() {
-            return Err(WalError::Dead);
+        self.wait_durable(s, u64::MAX)
+    }
+
+    /// Wait until shard `s` is durable through `lsn`: the one durable
+    /// wait outside the log writer (a *ticket*). Returns at once when the
+    /// watermark already covers `lsn`. Otherwise the caller leads a group
+    /// commit: it takes the shard's `io_lock`, which waits out any flush
+    /// already in flight, and if that flush did not cover `lsn` it
+    /// flushes everything buffered itself, other appenders' frames
+    /// included. Fails like [`WalSet::flush`]: `Dead` once the power is
+    /// out, `Unavailable` on a degraded shard.
+    pub fn wait_durable(&self, s: usize, lsn: u64) -> Result<u64, WalError> {
+        let covered = || Some(self.durable_lsn(s)).filter(|&d| d >= lsn);
+        if let Some(d) = covered() {
+            return Ok(d);
         }
-        match self.health(s) {
-            ShardHealth::Healthy | ShardHealth::Retrying => {}
-            _ => return Err(WalError::Unavailable),
+        let _io = self.shards[s].io_lock.lock().unwrap();
+        if let Some(d) = covered() {
+            return Ok(d);
         }
-        let sh = &self.shards[s];
-        let _io = sh.io_lock.lock().unwrap();
+        self.admits(s)?;
         self.flush_io_locked(s, 1 + self.flush_retries)
+    }
+
+    /// Wait on a ticket for every shard's last appended LSN. A checkpoint
+    /// does this before it prunes: a cross-shard transaction's decision
+    /// on this shard must not be pruned while its twin on another
+    /// participant is still buffered (DESIGN.md §12.2).
+    ///
+    /// Fails fast: if any shard with frames still to flush cannot take a
+    /// flush (degraded, or a dead log), it refuses before leading any
+    /// flush or queueing on any `io_lock` — where a rejoin probe may sit
+    /// in a write + fsync on a failing disk — so a degraded shard costs
+    /// the other shards' checkpoints one skipped round, not an inline
+    /// fsync under their locks.
+    pub fn wait_all_appended(&self) -> Result<(), WalError> {
+        #[cfg(test)]
+        if self.skip_all_shard_wait.load(Ordering::Relaxed) {
+            return Ok(());
+        }
+        let appended: Vec<u64> =
+            self.shards.iter().map(|sh| sh.inner.lock().unwrap().appended_lsn).collect();
+        for (s, &lsn) in appended.iter().enumerate() {
+            if self.durable_lsn(s) < lsn {
+                self.admits(s)?;
+            }
+        }
+        for (s, lsn) in appended.into_iter().enumerate() {
+            self.wait_durable(s, lsn)?;
+        }
+        Ok(())
     }
 
     /// The flush body. Caller holds the shard's `io_lock`; `attempts` is
@@ -810,6 +864,11 @@ impl WalSet {
     /// held and the WAL flushed: `entries` must be the store state
     /// produced by exactly the records ≤ `durable_lsn`.
     ///
+    /// The shard mutex is not held across the write and its fsync: the
+    /// buffer is empty and stays so (the caller's commit lock stops
+    /// appends, the `io_lock` held here stops flushes and probes), so the
+    /// log writer's reads of this shard never stall behind a checkpoint.
+    ///
     /// A failed checkpoint **write** is survivable: the previous
     /// checkpoint and the whole log are still in place, so the shard
     /// keeps serving and just tries again later. Only a failure to open
@@ -820,10 +879,14 @@ impl WalSet {
         }
         let sh = &self.shards[s];
         let _io = sh.io_lock.lock().unwrap();
+        let (dir, lsn) = {
+            let w = sh.inner.lock().unwrap();
+            assert!(w.buf.is_empty(), "checkpoint requires a flushed WAL");
+            (w.dir.clone(), w.durable_lsn)
+        };
+        let written = checkpoint::write(self.storage.as_ref(), &dir, s, lsn, entries);
         let mut w = sh.inner.lock().unwrap();
-        assert!(w.buf.is_empty(), "checkpoint requires a flushed WAL");
-        let lsn = w.durable_lsn;
-        if checkpoint::write(self.storage.as_ref(), &w.dir, s, lsn, entries).is_err() {
+        if written.is_err() {
             w.stats.checkpoint_failures += 1;
             w.appends_since_ckpt = 0;
             sh.ckpt_requested.store(false, Ordering::Release);
@@ -837,10 +900,11 @@ impl WalSet {
             self.set_health(s, ShardHealth::ReadOnly);
             return Err(WalError::Unavailable);
         }
-        prune_covered(&w.dir, lsn);
         w.appends_since_ckpt = 0;
         w.stats.checkpoints += 1;
         w.stats.checkpoint_entries += entries.len() as u64;
+        drop(w);
+        prune_covered(&dir, lsn);
         sh.ckpt_requested.store(false, Ordering::Release);
         Ok(())
     }

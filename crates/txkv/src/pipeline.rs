@@ -55,7 +55,10 @@
 //! writer, which flushes every shard with buffered frames while they keep
 //! executing. A Sync reply is withheld on a per-shard list until the
 //! writer sees its shard's durable watermark cover it. The 2PC
-//! coordinator and checkpoints still flush inline (DESIGN.md §12.1).
+//! coordinator's leg round and Sync decision, and a checkpoint's wait
+//! for every shard, are tickets ([`WalSet::wait_durable`]): they return
+//! at once when the watermark covers them and otherwise lead one flush
+//! (DESIGN.md §12.1).
 
 use crate::durability::{Append, CrashSite, DurabilityMode, WalError, WalSet, Writes};
 use crate::proc::{ProcCtx, ProcRegistry, Scope, PROC_WRITE_MAX};
@@ -1309,19 +1312,22 @@ impl<'a, B: TmBackend> Executor<'a, B> {
     }
 
     /// Take one shard's checkpoint: quiesce its writers (xlock, then the
-    /// commit lock — the same order 2PC uses), force the log tail out so
-    /// the snapshot and the durable log agree on exactly which
-    /// transactions are included, snapshot via one RO transaction (the
-    /// SI-HTM fast path), and install atomically. A chaos panic inside the
-    /// snapshot skips this round (the trigger re-fires) after replacing
-    /// the poisoned handle.
+    /// commit lock — the same order 2PC uses), wait until every shard's
+    /// log is durable through what it has appended — this shard's, so the
+    /// snapshot and the durable log agree on exactly which transactions
+    /// are included, and every other shard's, so the decisions this
+    /// checkpoint prunes are durable on their other participants too —
+    /// snapshot via one RO transaction (the SI-HTM fast path), and install
+    /// atomically. A shard that cannot become durable (degraded, or a dead
+    /// log) skips the round; so does a chaos panic inside the snapshot,
+    /// after replacing the poisoned handle (the trigger re-fires).
     fn checkpoint(&mut self, wal: &WalSet, s: usize) {
         let shared = self.shared;
         let _x = shared.shards[s].xlock.lock();
         let _cl = wal.commit_lock(s);
         // Re-check under the locks: another executor serving this shard may
         // have just checkpointed it.
-        if !wal.wants_checkpoint(s) || wal.flush(s).is_err() {
+        if !wal.wants_checkpoint(s) || wal.wait_all_appended().is_err() {
             return;
         }
         let (store, thread) = (&self.domains[s].1, &mut self.threads[s]);
@@ -1597,8 +1603,8 @@ impl<'a, B: TmBackend> Executor<'a, B> {
             self.out.shard_served[s] += 1;
         }
         match outcome {
-            // Sync-on-ack already holds: the decision fsync is the
-            // durability point, so the reply needs no pending delay.
+            // Sync-on-ack already holds: the coordinator waited for a
+            // durable decision, so the reply needs no pending delay.
             XOutcome::Committed(outs) => {
                 let reply = match req.op {
                     KvOp::Call { .. } => KvReply::CallOk(outs),

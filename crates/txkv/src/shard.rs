@@ -21,25 +21,33 @@
 //! the participants' coordination locks ([`XLock`]) in ascending shard
 //! order (deadlock-free) and then:
 //!
-//! 1. **legs** — one [`Leg`] per participant, in shard order, each one
-//!    update transaction under the shard's commit lock that applies the
-//!    participant's part and captures in-transaction its pre-image (the
-//!    undo image, first write wins) and post-image. With a WAL the leg's
-//!    `XBegin` (participant set + undo image) and `XApply` (post-image)
-//!    are appended together, the commit lock is dropped, and the pair is
-//!    flushed before the next leg runs. If a leg escalated to its
-//!    serialized fall-back path (an `sgl_acquisitions` delta), the
-//!    remaining legs are pinned to [`TmThread::exec_escalated`] — once the
-//!    protocol is half-applied, optimism only risks more mid-protocol
-//!    aborts.
-//! 2. **decision** — an `XDecide` goes to every participant; the first
-//!    durable one commits the transaction everywhere at recovery.
+//! 1. **legs** — one [`Leg`] per participant, in shard order, back to
+//!    back, each one update transaction under the shard's commit lock
+//!    that applies the participant's part and captures in-transaction its
+//!    pre-image (the undo image, first write wins) and post-image. With a
+//!    WAL the leg's `XBegin` (participant set + undo image) and `XApply`
+//!    (post-image) are appended together before the commit lock drops. If
+//!    a leg escalated to its serialized fall-back path (an
+//!    `sgl_acquisitions` delta), the remaining legs are pinned to
+//!    [`TmThread::exec_escalated`] — once the protocol is half-applied,
+//!    optimism only risks more mid-protocol aborts.
+//! 2. **one durable round** — a single wait until every leg's LSN is
+//!    durable (one [`WalSet::wait_durable`] ticket per leg, each leading
+//!    a flush unless the log writer's already covered it), so no
+//!    decision can be durable before every leg is.
+//! 3. **decision** — an `XDecide` goes to every participant, each under
+//!    its commit lock; the first durable one commits the transaction
+//!    everywhere at recovery. In Async mode nothing waits for it: the
+//!    decisions ride the next group commit. In Sync mode the coordinator
+//!    waits, still under the [`XLock`]s, for the first participant's
+//!    decision only: that one is the commit point the ack rests on.
 //!
 //! If a leg unwinds (the chaos injector panics inside a transaction
 //! body), a call leg returns [`Abort::User`], or the log refuses a record
-//! before any decision is durable, the committed legs are rolled back and
-//! each rollback is logged as one `XAbort`, so an accepted cross-shard
-//! update either fully applies or fully aborts.
+//! before any decision is appended, the committed legs are rolled back
+//! and each rollback is logged as one `XAbort`, which rides group commit
+//! like the decisions, so an accepted cross-shard update either fully
+//! applies or fully aborts.
 //!
 //! ## What the locks do and don't serialize
 //!
@@ -59,7 +67,7 @@
 //! take their shard's `XLock`, so nothing commits between a call leg and
 //! its image-restoring rollback.
 
-use crate::durability::{Append, CrashSite, WalError, WalSet, Writes};
+use crate::durability::{Append, CrashSite, DurabilityMode, WalError, WalSet, Writes};
 use crate::proc::{KvTx, ProcCtx, Procedure, Scope};
 use crate::store::{KvOp, KvStore};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -366,15 +374,18 @@ pub trait Participants<'x> {
 /// How a [`coordinate`] call ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum XOutcome {
-    /// Every leg committed (and, with a WAL, a decision is durable); the
-    /// legs' outputs, concatenated in shard order.
+    /// Every leg committed (and, with a Sync WAL, a decision is durable);
+    /// the legs' outputs, concatenated in shard order.
     Committed(Vec<u64>),
     /// A call leg returned [`Abort::User`]; the committed legs were rolled
     /// back.
     UserAborted,
     /// A leg unwound, or the log refused a record before any decision was
-    /// durable; the committed legs were rolled back. `degraded`: the
-    /// refusal came from a degraded shard ([`WalError::Unavailable`]).
+    /// appended: the committed legs were rolled back. Or, in Sync mode, no
+    /// appended decision could be made durable: the legs stay applied and
+    /// recovery resolves the transaction. Either way the client gets no
+    /// ack. `degraded`: the refusal came from a degraded shard
+    /// ([`WalError::Unavailable`]).
     Failed { degraded: bool },
 }
 
@@ -437,9 +448,11 @@ pub fn coordinate<'x>(
     let mut applied: Vec<Applied> = Vec::with_capacity(legs.len());
     let mut outputs: Vec<u64> = Vec::new();
     let mut inflight = None; // the shard whose transaction was running
+    let mut decided = false; // an XDecide is appended: no rollback from here
     let run = catch_unwind(AssertUnwindSafe(|| -> Result<Outcome, WalError> {
         let mut escalated = false;
         let mut writes = Writes::new();
+        let mut tickets = Vec::with_capacity(legs.len());
         for (&s, leg) in set.iter().zip(legs) {
             inflight = Some(s);
             // The commit lock spans the transaction and both appends, so
@@ -477,42 +490,59 @@ pub fn coordinate<'x>(
                 // frames stay buffered for a rejoin, and the rollback's
                 // XAbort must land behind them.
                 leg_state.logged = true;
-                w.append(s, Append::XApply { xid, writes: &writes })?;
-                drop(cl);
-                w.flush(s)?;
-                // "Durably prepared" and "applied" are one instant for a
-                // combined leg, so both crash windows arm on its flush.
-                w.crash_point(CrashSite::AfterPrepare);
-                w.crash_point(CrashSite::AfterApply);
+                tickets.push((s, w.append(s, Append::XApply { xid, writes: &writes })?));
             }
+            drop(cl);
             // Leg → leg seam: the chaos injector's crash window.
             if hooks::active() {
                 hooks::emit(Event::Poll);
             }
         }
         inflight = None;
-        // The first durable XDecide commits the transaction everywhere at
-        // recovery; write it to every participant so any one log suffices.
-        if let Some(w) = wal {
-            let mut decided = false;
-            for &s in set {
-                let appended = {
-                    let _cl = w.commit_lock(s);
-                    w.append(s, Append::XDecide { xid })
-                };
-                match appended.and_then(|_| w.flush(s)) {
-                    Ok(_) => decided = true,
-                    Err(_) if decided => break, // committed already; the log just died
-                    Err(e) => return Err(e),
-                }
-            }
-            w.crash_point(CrashSite::AfterDecision);
+        let Some(w) = wal else { return Ok(Outcome::Committed) };
+        // One durable round for every leg, so no decision can be durable
+        // before every leg is. "Durably prepared" and "applied" are one
+        // instant for a combined leg, so both crash windows arm here.
+        for &(s, lsn) in &tickets {
+            w.wait_durable(s, lsn)?;
         }
+        w.crash_point(CrashSite::AfterPrepare);
+        w.crash_point(CrashSite::AfterApply);
+        // The first durable XDecide commits the transaction everywhere at
+        // recovery; write it to every participant so any one log suffices,
+        // and so every later record on a participant lies behind it. Once
+        // one is appended the transaction can no longer roll back: only a
+        // dead log refuses the rest.
+        tickets.clear();
+        for &s in set {
+            let _cl = w.commit_lock(s);
+            match w.append(s, Append::XDecide { xid }) {
+                Ok(lsn) => tickets.push((s, lsn)),
+                Err(_) if decided => break,
+                Err(e) => return Err(e),
+            }
+            decided = true;
+        }
+        // Async acks do not wait: the decisions ride the next group
+        // commit. A Sync ack waits for the first participant's decision,
+        // the commit point.
+        if w.mode() == DurabilityMode::Sync {
+            let (s, lsn) = tickets[0];
+            w.wait_durable(s, lsn)?;
+        }
+        w.crash_point(CrashSite::AfterDecision);
         Ok(Outcome::Committed)
     }));
     let failed = match run {
         Ok(Ok(Outcome::Committed)) => return XOutcome::Committed(outputs),
         Ok(Ok(Outcome::UserAborted)) => None,
+        // A Sync decision that could not be made durable: the decisions
+        // are in the logs, so the legs stay applied and recovery resolves
+        // the transaction; the client gets no ack.
+        Ok(Err(e)) if decided => {
+            stats.aborts += 1;
+            return XOutcome::Failed { degraded: e == WalError::Unavailable };
+        }
         Ok(Err(e)) => Some(e == WalError::Unavailable),
         Err(_) => {
             // The injector fires inside transaction bodies, so the
@@ -535,9 +565,10 @@ pub fn coordinate<'x>(
                 exec_leg(&mut parts.part(s), leg.scope(s), false, &mut comp, None, body);
                 if let (Some(w), true) = (wal, a.logged) {
                     // One atomic record at the rollback's commit position:
-                    // abort marker + compensation post-image. Best-effort
-                    // on a dead log: recovery compensates any leg whose
-                    // XAbort did not land.
+                    // abort marker + compensation post-image. It rides the
+                    // next group commit, and is best-effort on a dead log:
+                    // recovery compensates any leg whose XAbort did not
+                    // land.
                     let _ = w.append(s, Append::XAbort { xid, writes: &comp });
                 }
             }));
@@ -546,9 +577,6 @@ pub fn coordinate<'x>(
             }
             parts.reset(s);
             assert!(attempt < 1000, "2PC rollback could not complete");
-        }
-        if let Some(w) = wal {
-            let _ = w.flush(s);
         }
     }
     match failed {
@@ -751,15 +779,18 @@ mod tests {
         let adds = updates(group_adds(&map, &set, &[(2, -2), (10, 2)]));
         assert_eq!(run(&mut shards, &adds), XOutcome::Committed(vec![]));
         assert_eq!(run(&mut shards, &bump(&[3, 11, 20])), XOutcome::Committed(vec![4, 12]));
+        // Only the first decision is waited for; the rest, and a
+        // rollback's XAbort, ride the next group commit.
+        let logged = |s| wal.flush(s).map(|_| kinds(&dir, s)).unwrap();
         let committed = ["XBegin", "XApply", "XDecide"].repeat(3);
         for s in 0..2 {
-            assert_eq!(kinds(&dir, s), committed, "shard {s} after three commits");
+            assert_eq!(logged(s), committed, "shard {s} after three commits");
         }
         assert_recovers_live(&mut shards, &dir, &map);
         // Leg 0 takes key 3 to 5; leg 1 would take key 11 to 13 > 12.
         assert_eq!(run(&mut shards, &bump(&[3, 11, 12])), XOutcome::UserAborted);
-        assert_eq!(kinds(&dir, 0)[9..], ["XBegin", "XApply", "XAbort"], "shard 0 after the abort");
-        assert_eq!(kinds(&dir, 1), committed, "the aborting leg logs nothing");
+        assert_eq!(logged(0)[9..], ["XBegin", "XApply", "XAbort"], "shard 0 after the abort");
+        assert_eq!(logged(1), committed, "the aborting leg logs nothing");
         let (b0, st0) = &shards.domains[0];
         assert_eq!(st0.load_raw(b0.memory(), 3), Some(4), "leg 0 rolled back");
         assert_recovers_live(&mut shards, &dir, &map);

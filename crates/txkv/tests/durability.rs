@@ -327,9 +327,13 @@ fn graceful_restart<B: TmBackend>(mut mk: impl FnMut(usize) -> B, mode: Durabili
 /// Deterministic 2PC crash windows: one cross-shard transfer with the
 /// plug pulled at the exact protocol step, then recovery must resolve it
 /// all-or-nothing consistently with what the client saw.
-fn twopc_window<B: TmBackend>(mut mk: impl FnMut(usize) -> B, site: CrashSite) {
-    let dir = tmpdir(&format!("twopc-{site:?}"));
-    let mut dcfg = DurabilityConfig::new(DurabilityMode::Sync, &dir);
+fn twopc_window<B: TmBackend>(
+    mut mk: impl FnMut(usize) -> B,
+    mode: DurabilityMode,
+    site: CrashSite,
+) {
+    let dir = tmpdir(&format!("twopc-{site:?}-{}", mode.name()));
+    let mut dcfg = DurabilityConfig::new(mode, &dir);
     dcfg.crash = Some(CrashSpec { site, after: 0 });
     let map = shard_map();
     let (domains, wal, _) =
@@ -356,6 +360,11 @@ fn twopc_window<B: TmBackend>(mut mk: impl FnMut(usize) -> B, site: CrashSite) {
         CrashSite::AfterPrepare | CrashSite::AfterApply => {
             assert_eq!(reply, KvReply::Shed, "no durable decision, so no ack");
             assert_eq!((v0, v8), (100, 100), "{site:?} must resolve as aborted (report {rec:?})");
+        }
+        // Async decisions ride group commit, so the power cut may take
+        // them: the ack promised no durability, only no torn state.
+        CrashSite::AfterDecision if mode == DurabilityMode::Async => {
+            assert_eq!(reply, KvReply::Done { changed: true }, "Async acks do not wait");
         }
         // The first XDecide was fsynced before the ack: committed
         // everywhere, on every log that survived.
@@ -519,7 +528,8 @@ impl Procedure for Transfer {
 /// rejoins, and a later `Put` of 500 to the faulted shard's key is
 /// Sync-acked: recovery must keep that 500. Each fault plan is
 /// `(shard, after)` for `FaultPlan::fsync_permanent`: the flush of shard
-/// 1's leg, of its decision, or of shard 0's leg fails. A failed leg
+/// 1's leg, of its decision (made by the log writer, after shard 0's
+/// decision committed the transfer), or of shard 0's leg fails. A failed leg
 /// leaves its `XBegin`/`XApply` retained for the rejoin, so its
 /// rollback's `XAbort` must be logged behind them; otherwise the rejoin
 /// makes the leg durable without the rollback and recovery undoes the
@@ -564,7 +574,11 @@ fn degraded_leg_then_rejoin<B: TmBackend>(mut mk: impl FnMut(usize) -> B, call: 
                 panic!("{ctx}: transfer must commit or be refused as Unavailable, got {other:?}")
             }
         };
-        assert!(!wal.health(shard).writable(), "{ctx}: the fault never degraded the shard");
+        // Shard 1's decision rides group commit, so its failed flush can
+        // degrade the shard after the reply.
+        wait_until(&format!("{ctx}: the fault degraded the shard"), || {
+            !wal.health(shard).writable()
+        });
         guard.clear();
         let deadline = Instant::now() + Duration::from_secs(30);
         while !wal.health(shard).writable() {
@@ -695,6 +709,155 @@ fn storage_fault_stalled_fsync_overlaps_execution() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Poll `reply` until it is answered, failing as `what` after 10 s.
+fn answered(reply: &txkv::PendingReply, what: &str) -> KvReply {
+    let mut got = None;
+    wait_until(&format!("{what} was answered"), || {
+        got = reply.try_get();
+        got.is_some()
+    });
+    got.expect("answered")
+}
+
+/// Wait (up to 10 s) until `done`, failing as `what`.
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting until {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Async decisions ride group commit: with shard 1's decision fsync
+/// held, a cross-shard call is answered, and a local call on shard 1
+/// (which takes the shard's `XLock`) commits. A decision flushed under
+/// the `XLock`s would keep both waiting on the held fsync.
+#[test]
+fn async_cross_shard_call_does_not_wait_for_its_decision_fsync() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let _serial = faults::gate();
+    let dir = tmpdir("async-decision");
+    let mut dcfg = DurabilityConfig::new(DurabilityMode::Async, &dir);
+    dcfg.maintenance_interval_ms = 0;
+    let map = ShardMap::range(2, PER_SHARD);
+    let mk = |_| si_htm::SiHtm::with_defaults(1 << 18);
+    let (domains, wal, _) = recover_and_open(&dcfg, &map, mk, 0, 1 << 18).expect("open");
+    let procs = Arc::new(ProcRegistry::new().register(Arc::new(Transfer)));
+    let cfg = PipelineConfig { executors: 2, ..pipeline_cfg() };
+    let pipeline = Pipeline::start_with(domains, map, cfg, Some(wal.clone()), Some(procs));
+    let client = pipeline.client();
+    let (a, b, c) = (0, PER_SHARD, PER_SHARD + 2);
+    for k in [a, b, c] {
+        assert!(matches!(client.call(KvOp::Put { key: k, val: 100 }), Ok(KvReply::Done { .. })));
+    }
+    for s in 0..2 {
+        wal.flush(s).expect("seeding made durable");
+    }
+    // Shard 1's next fsync is the call's leg round; the one after it
+    // carries the decision, and is held.
+    let plan = FaultPlan { shard: Some(1), target: FaultTarget::Segment, ..FaultPlan::default() };
+    let guard = faults::install(plan.tagged(dir.to_string_lossy()));
+    guard.hold_syncs_from(1);
+    let transfer = |from: u64, to: u64| KvOp::Call {
+        proc: 1,
+        args: vec![from, to, 5],
+        footprint: vec![from, to],
+        read_only: false,
+    };
+    let cross = client.submit(transfer(a, b)).expect("admitted");
+    assert_eq!(answered(&cross, "the cross-shard call"), KvReply::CallOk(Vec::new()));
+    wait_until("the decision's flush reached its fsync", || guard.report().held_syncs == 1);
+    let local = client.submit(transfer(b, c)).expect("admitted");
+    assert_eq!(answered(&local, "a local call on shard 1"), KvReply::CallOk(Vec::new()));
+    assert_eq!(guard.report().held_syncs, 1, "the decision's fsync is still the held one");
+    guard.release_syncs();
+    pipeline.shutdown();
+    drop(guard);
+    let (domains, _) = recover(&dir, &map, mk, 0, 1 << 18).expect("recovery");
+    let read = |k: u64| domains[map.shard_of(k)].1.load_raw(domains[map.shard_of(k)].0.memory(), k);
+    assert_eq!((read(a), read(b), read(c)), (Some(95), Some(100), Some(105)));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint's write and fsync leave its shard's mutex free: with
+/// shard 0's checkpoint fsync held, the log writer still flushes shard
+/// 1, and a Sync `Put` there is acked.
+#[test]
+fn a_stalled_checkpoint_does_not_hold_up_other_shards_acks() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let _serial = faults::gate();
+    let dir = tmpdir("stalled-ckpt");
+    let mut dcfg = DurabilityConfig::new(DurabilityMode::Sync, &dir);
+    dcfg.maintenance_interval_ms = 0;
+    let map = ShardMap::range(2, PER_SHARD);
+    let mk = |_| si_htm::SiHtm::with_defaults(1 << 16);
+    let (domains, wal, _) = recover_and_open(&dcfg, &map, mk, 0, 1 << 16).expect("open");
+    let cfg = PipelineConfig { executors: 2, ..pipeline_cfg() };
+    let pipeline = Pipeline::start_durable(domains, map, cfg, Arc::clone(&wal));
+    let client = pipeline.client();
+    assert!(matches!(client.call(KvOp::Put { key: 1, val: 1 }), Ok(KvReply::Done { .. })));
+    let plan =
+        FaultPlan { shard: Some(0), target: FaultTarget::Checkpoint, ..FaultPlan::default() };
+    let guard = faults::install(plan.tagged(dir.to_string_lossy()));
+    guard.hold_syncs();
+    wal.request_checkpoint(0);
+    wait_until("shard 0's checkpoint reached its fsync", || guard.report().held_syncs == 1);
+    let put = client.submit(KvOp::Put { key: PER_SHARD + 1, val: 7 }).expect("admitted");
+    assert!(matches!(answered(&put, "a Sync put on shard 1"), KvReply::Done { .. }));
+    assert_eq!(wal.stats().checkpoints, 0, "the checkpoint is still held");
+    guard.release_syncs();
+    wait_until("shard 0 checkpointed", || wal.stats().checkpoints == 1);
+    let report = pipeline.shutdown();
+    drop(guard);
+    assert_eq!(report.wal.sync_acks_early, 0, "an ack outran its fsync");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A degraded shard costs another shard's checkpoint one skipped round,
+/// not a flush under its locks. With shard 1 degraded (its failed frame
+/// retained for a rejoin) and the log writer's fsync of shard 0 held, a
+/// due checkpoint of shard 0 must refuse before it queues behind that
+/// flush holding shard 0's commit lock: Async puts on shard 0 keep being
+/// acked, and the writer's held fsync stays the only one.
+#[test]
+fn a_degraded_shard_skips_other_shards_checkpoints_without_flushing_them() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let _serial = faults::gate();
+    let dir = tmpdir("degraded-ckpt");
+    let mut dcfg = DurabilityConfig::new(DurabilityMode::Async, &dir);
+    dcfg.flush_retries = 0;
+    // No maintenance thread, so no rejoin probe: shard 1 stays degraded.
+    dcfg.maintenance_interval_ms = 0;
+    let map = ShardMap::range(2, PER_SHARD);
+    let mk = |_| si_htm::SiHtm::with_defaults(1 << 16);
+    let (domains, wal, _) = recover_and_open(&dcfg, &map, mk, 0, 1 << 16).expect("open");
+    let cfg = PipelineConfig { executors: 2, ..pipeline_cfg() };
+    let pipeline = Pipeline::start_durable(domains, map, cfg, Arc::clone(&wal));
+    let client = pipeline.client();
+    let failing = faults::install(FaultPlan::fsync_permanent(1, 0).tagged(dir.to_string_lossy()));
+    assert!(matches!(client.call(KvOp::Put { key: PER_SHARD, val: 1 }), Ok(KvReply::Done { .. })));
+    wait_until("shard 1 degraded", || !wal.health(1).writable());
+    drop(failing);
+    let plan = FaultPlan { shard: Some(0), target: FaultTarget::Segment, ..FaultPlan::default() };
+    let guard = faults::install(plan.tagged(dir.to_string_lossy()));
+    guard.hold_syncs();
+    assert!(matches!(client.call(KvOp::Put { key: 1, val: 1 }), Ok(KvReply::Done { .. })));
+    wait_until("the writer's flush of shard 0 reached its fsync", || {
+        guard.report().held_syncs == 1
+    });
+    wal.request_checkpoint(0);
+    for val in 2..50 {
+        let put = client.submit(KvOp::Put { key: 1, val }).expect("admitted");
+        assert!(matches!(answered(&put, "an Async put on shard 0"), KvReply::Done { .. }));
+    }
+    assert_eq!(guard.report().held_syncs, 1, "only the log writer flushed shard 0");
+    assert_eq!(wal.stats().checkpoints, 0, "checkpointed while shard 1 cannot become durable");
+    guard.release_syncs();
+    pipeline.shutdown();
+    drop(guard);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 macro_rules! durability_suite {
     ($name:ident, $make:expr) => {
         mod $name {
@@ -733,10 +896,12 @@ macro_rules! durability_suite {
             #[test]
             fn twopc_crash_windows_resolve_all_or_nothing() {
                 let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-                for site in
-                    [CrashSite::AfterPrepare, CrashSite::AfterApply, CrashSite::AfterDecision]
-                {
-                    twopc_window($make, site);
+                for mode in [DurabilityMode::Sync, DurabilityMode::Async] {
+                    for site in
+                        [CrashSite::AfterPrepare, CrashSite::AfterApply, CrashSite::AfterDecision]
+                    {
+                        twopc_window($make, mode, site);
+                    }
                 }
             }
 

@@ -148,6 +148,7 @@ fn conserves_clean<B: TmBackend + Clone>(mk: impl FnMut(usize) -> B) {
 /// fully abort — a half-applied transfer would break the raw total.
 fn conserves_under_chaos<B: TmBackend + Clone>(mk: impl FnMut(usize) -> B) {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let _deadline = tm_api::deadline::guard(Duration::from_secs(5));
     let guard = chaos::install(ChaosConfig {
         seed: 0xC4A05,
         abort_access: 0.005,
